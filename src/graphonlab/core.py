@@ -85,6 +85,11 @@ def finite_graph(n, edges):
     return FiniteGraph(n, frozenset(norm))
 
 
+def vertex_pairs(n):
+    """Pairs (i, j), i < j, of n vertices in row-major order."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def graphon_of_graph(G):
     """Embed a finite graph as the 0/1 step graphon on n parts."""
     if G.n == 0:

@@ -6,33 +6,51 @@ of the upper-triangular adjacency bits: pairs are listed row-major
 iff bit t of the block offset is set.
 
 t_ind(F, W) is the probability that an n-vertex sample of W equals F as a
-labeled graph. The exact sum runs over all k**n part assignments; it is
-evaluated through an integer-scaled tensor contraction whenever every
-intermediate provably fits in float64 exactly, and through a pruned
-big-integer enumeration otherwise.
+labeled graph: a sum over all k**n part assignments of products of the
+cells L*W and L*(1-W), scaled to integers by the lcm L of the cell
+denominators. Every partial sum of that contraction is a nonnegative
+integer at most B = k**n * L**C(n,2), which picks one of three exact
+routes:
+
+- float64 contraction when B < 2**53;
+- int64 contraction when B < 2**63;
+- a pruned enumeration on Python integers otherwise.
+
+Contractions on at most four vertices use a fixed order (a plain sum, one
+matrix product, or a vertex pairing chunked over the first vertex);
+larger graphs use a greedy einsum. The cost_limit guard (k**n terms)
+covers only the two integer routes. The float64 route is never refused,
+however large k**n is: a 5-vertex graph on a 128-part 0/1 graphon has
+B < 2**53 and took 561 s on a 2-core Xeon VM.
+
+Labeled t_ind is invariant under relabeling F, so a batch evaluates one
+graph per isomorphism class.
 """
 
 from __future__ import annotations
 
 import string
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 from math import comb, isqrt, lcm
 
 import numpy as np
 
-from .core import finite_graph, reduce_step_graphon
+from .core import finite_graph, reduce_step_graphon, vertex_pairs
 from .errors import InputError, TooExpensive
 from .sampling import RandomSource, sample_graph
 
 COST_LIMIT = 10 ** 7
 
+# graphs up to this many vertices share an evaluation with their relabelings
+_CLASS_LIMIT = 5
+# entries per temporary of the chunked four-vertex contraction
+_CHUNK = 1 << 16
+
 
 def _block_size(n):
     return 2 ** comb(n, 2)
-
-
-def _pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def enumerate_graph(i):
@@ -43,57 +61,110 @@ def enumerate_graph(i):
     while i >= _block_size(n):
         i -= _block_size(n)
         n += 1
-    edges = [pair for t, pair in enumerate(_pairs(n)) if (i >> t) & 1]
+    edges = [pair for t, pair in enumerate(vertex_pairs(n)) if (i >> t) & 1]
     return finite_graph(n, edges)
+
+
+def _edge_mask(F):
+    # bit t is set iff the t-th row-major pair is an edge
+    return sum(
+        1 << t for t, pair in enumerate(vertex_pairs(F.n)) if pair in F.edges
+    )
 
 
 def graph_index(F):
     """Inverse of enumerate_graph."""
     offset = sum(_block_size(m) for m in range(1, F.n))
-    bits = 0
-    for t, pair in enumerate(_pairs(F.n)):
-        if pair in F.edges:
-            bits |= 1 << t
-    return offset + bits
+    return offset + _edge_mask(F)
+
+
+@lru_cache(maxsize=None)
+def _relabelings(n):
+    # per vertex permutation s, the position of pair (s(i), s(j)) for each
+    # row-major pair (i, j)
+    pos = {pair: t for t, pair in enumerate(vertex_pairs(n))}
+    return tuple(
+        tuple(pos[min(s[i], s[j]), max(s[i], s[j])] for (i, j) in pos)
+        for s in permutations(range(n))
+    )
+
+
+@lru_cache(maxsize=4096)
+def _class_key(n, mask):
+    """(n, the smallest edge mask over all relabelings) when n is at most
+    _CLASS_LIMIT, else (n, mask)."""
+    if n > _CLASS_LIMIT:
+        return n, mask
+    bits = [t for t in range(comb(n, 2)) if (mask >> t) & 1]
+    return n, min(sum(1 << perm[t] for t in bits) for perm in _relabelings(n))
 
 
 def _scaled_factors(F, W):
-    # integer matrices L*W and L*(1-W) plus the common denominator L
-    L = lcm(*[v.denominator for row in W.values for v in row])
-    w = [[int(v * L) for v in row] for row in W.values]
+    # integer matrices L*W and L*(1-W) plus the common denominator L; they
+    # depend on W only
+    L = lcm(*{v.denominator for row in W.values for v in row})
+    w = [[v.numerator * (L // v.denominator) for v in row] for row in W.values]
     c = [[L - e for e in row] for row in w]
     return w, c, L
 
 
-def _t_ind_einsum(F, W, w, c, L):
-    n, k = F.n, W.k
-    pairs = _pairs(n)
-    letters = string.ascii_letters
-    ops, subs = [], []
-    wf = np.array(w, dtype=np.float64)
-    cf = np.array(c, dtype=np.float64)
-    for (i, j) in pairs:
-        ops.append(wf if F.has_edge(i, j) else cf)
-        subs.append(letters[i] + letters[j])
-    if n == 4 and k ** 3 <= 2 ** 24:
-        # pairing two vertices into one axis turns the k**4 step into a
-        # matrix product; every intermediate is still an integer < 2**53
+def _route(n, k, L, cost_limit):
+    """dtype of the exact contraction for n vertices on k parts at scale L,
+    or None for the big-integer loop.
+
+    Every partial sum is an integer at most k**n * L**C(n,2), so below
+    2**53 float64 is exact and below 2**63 int64 is. Only the integer
+    routes are guarded: they raise TooExpensive when the k**n terms exceed
+    cost_limit.
+    """
+    terms = k ** n
+    bound = terms * L ** comb(n, 2)
+    einsum_ok = n <= len(string.ascii_letters)
+    if einsum_ok and bound < 2 ** 53:
+        return np.float64
+    if terms > cost_limit:
+        raise TooExpensive(terms, cost_limit)
+    if einsum_ok and bound < 2 ** 63:
+        return np.int64
+    return None
+
+
+def _contract(F, w, c):
+    """Sum over assignments of the product of w (edges) and c (non-edges)
+    over the pairs of F, in the dtype of the arrays w and c."""
+    n, k = F.n, len(w)
+    pairs = vertex_pairs(n)
+    ops = [w if F.has_edge(i, j) else c for (i, j) in pairs]
+    if n == 2:
+        return int(ops[0].sum())
+    if n == 3:
+        ab, ac, bc = ops
+        return int((ab * (ac @ bc.T)).sum())
+    if n == 4:
+        # pairing a and b into one axis turns the sum over d into a matrix
+        # product; chunking over a keeps temporaries at k**2 * step entries
         ab, ac, ad, bc, bd, cd = ops
-        inner = (ad[:, None, :] * bd[None, :, :]).reshape(k * k, k) @ cd.T
-        total = np.einsum(
-            "abc,ab,ac,bc->", inner.reshape(k, k, k), ab, ac, bc,
-            optimize="greedy",
-        )
-    else:
-        total = np.einsum(",".join(subs) + "->", *ops, optimize="greedy")
-    return Fraction(int(round(float(total))), L ** len(pairs) * k ** n)
+        step = max(1, _CHUNK // (k * k))
+        total = 0
+        for s in range(0, k, step):
+            a = slice(s, s + step)
+            inner = (ad[a, None, :] * bd).reshape(-1, k) @ cd.T
+            inner = inner.reshape(-1, k, k)
+            inner *= ab[a, :, None]
+            inner *= ac[a, None, :]
+            inner *= bc
+            total += int(inner.sum())
+        return total
+    letters = string.ascii_letters
+    subs = ",".join(letters[i] + letters[j] for (i, j) in pairs)
+    return int(np.einsum(subs + "->", *ops, optimize="greedy"))
 
 
 def _t_ind_loop(F, W, w, c, L):
     n, k = F.n, W.k
     # factor[v] lists (u, matrix) for u < v, consulted when v is assigned
     factor = [[] for _ in range(n)]
-    for (i, j) in _pairs(n):
+    for (i, j) in vertex_pairs(n):
         factor[j].append((i, w if F.has_edge(i, j) else c))
     total = 0
     stack = [(0, 1, ())]
@@ -113,27 +184,63 @@ def _t_ind_loop(F, W, w, c, L):
     return Fraction(total, L ** comb(n, 2) * k ** n)
 
 
+def _t_ind_many(graphs, W, cost_limit):
+    """t_ind_exact of every graph against W, one evaluation per class.
+
+    W is reduced and scaled once. A graph on at most _CLASS_LIMIT vertices
+    shares its evaluation with every relabeling of it; a larger one only
+    with equal graphs. A refused graph gets its TooExpensive instance in
+    place of a value, and so does every graph of its class.
+    """
+    W = reduce_step_graphon(W)
+    k = W.k
+    scaled = None
+    arrays = {}  # dtype -> (w, c) as numpy arrays
+    values = {}
+
+    def evaluate(F):
+        nonlocal scaled
+        if F.n == 1:
+            return Fraction(1)
+        if scaled is None:
+            scaled = _scaled_factors(F, W)
+        w, c, L = scaled
+        try:
+            dtype = _route(F.n, k, L, cost_limit)
+        except TooExpensive as exc:
+            return exc
+        if dtype is None:
+            return _t_ind_loop(F, W, w, c, L)
+        if dtype not in arrays:
+            arrays[dtype] = (np.array(w, dtype=dtype), np.array(c, dtype=dtype))
+        total = _contract(F, *arrays[dtype])
+        return Fraction(total, L ** comb(F.n, 2) * k ** F.n)
+
+    out = []
+    for F in graphs:
+        key = _class_key(F.n, _edge_mask(F))
+        if key not in values:
+            values[key] = evaluate(F)
+        out.append(values[key])
+    return out
+
+
 def t_ind_exact(F, W, cost_limit=COST_LIMIT):
     """Exact probability that an n-vertex sample of W equals F, labeled.
 
     Sum over assignments a: [n] -> [k] of k**-n times the product of
-    W[a_i][a_j] over edges and (1 - W[a_i][a_j]) over non-edges. Raises
-    TooExpensive when neither exact route is affordable; the reported cost
-    is the assignment count k**n.
+    W[a_i][a_j] over edges and (1 - W[a_i][a_j]) over non-edges, after W
+    is reduced to its fewest parts. With L the lcm of W's denominators and
+    B = k**n * L**C(n,2), the sum runs as a float64 contraction when
+    B < 2**53, as an int64 contraction when B < 2**63, and as a pruned
+    Python-integer enumeration otherwise. Only the two integer routes are
+    guarded: they raise TooExpensive, reporting the assignment count k**n,
+    when it exceeds cost_limit. The float64 route runs whatever k**n is.
     """
-    W = reduce_step_graphon(W)
-    n, k = F.n, W.k
-    if n == 1:
-        return Fraction(1)
-    w, c, L = _scaled_factors(F, W)
-    terms = k ** n
-    # every contraction intermediate is a nonnegative integer bounded by
-    # k**n * L**pairs, so below 2**53 the float64 tensor path is exact
-    if n <= len(string.ascii_letters) and terms * L ** comb(n, 2) < 2 ** 53:
-        return _t_ind_einsum(F, W, w, c, L)
-    if terms <= cost_limit:
-        return _t_ind_loop(F, W, w, c, L)
-    raise TooExpensive(terms, cost_limit)
+    (t,) = _t_ind_many([F], W, cost_limit)
+    if isinstance(t, TooExpensive):
+        raise t
+    return t
 
 
 def t_ind_mc(F, W, trials, seed):

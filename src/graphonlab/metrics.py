@@ -22,13 +22,14 @@ from math import comb, factorial, lcm
 import numpy as np
 
 from .core import blow_up, reduce_step_graphon
-from .densities import COST_LIMIT, enumerate_graph, t_ind_exact
+from .densities import COST_LIMIT, _t_ind_many, enumerate_graph
 from .errors import (
     AsymmetricMatrix,
     ExactTooLarge,
     InputError,
     OutOfRange,
     SizeMismatch,
+    TooExpensive,
     TooManyParts,
 )
 from .sampling import RandomSource
@@ -588,22 +589,27 @@ def _canonical_perms(rows_u, rows_v, K, cap):
 
 
 def _counting_lower(U, V, vertex_limit, cost_limit):
-    """Largest density-gap bound over small graphs: |t gap| / (4 C(n,2))."""
-    best = Fraction(0)
+    """Largest density-gap bound over small graphs: |t gap| / (4 C(n,2)).
+
+    A graph refused on either side is skipped; V is evaluated only on the
+    graphs U did not refuse.
+    """
+    graphs = []
     i = 1
-    while True:
-        F = enumerate_graph(i)
-        if F.n > vertex_limit:
-            break
-        try:
-            gap = abs(
-                t_ind_exact(F, U, cost_limit) - t_ind_exact(F, V, cost_limit)
-            )
-        except InputError:
-            i += 1
-            continue
-        best = max(best, gap / (4 * comb(F.n, 2)))
+    while (F := enumerate_graph(i)).n <= vertex_limit:
+        graphs.append(F)
         i += 1
+    kept = [
+        (F, t)
+        for F, t in zip(graphs, _t_ind_many(graphs, U, cost_limit))
+        if not isinstance(t, TooExpensive)
+    ]
+    tv = _t_ind_many([F for F, _ in kept], V, cost_limit)
+    best = Fraction(0)
+    for (F, tu), t in zip(kept, tv):
+        if isinstance(t, TooExpensive):
+            continue
+        best = max(best, abs(tu - t) / (4 * comb(F.n, 2)))
     return best
 
 
@@ -698,13 +704,22 @@ def d_w_truncated(U, V, N, cost_limit=COST_LIMIT):
 
     value = sum over i < N of 2**-i times the t_ind gap at the i-th
     enumerated graph; tail = 2**-(N-1) bounds the omitted terms since every
-    gap is at most 1.
+    gap is at most 1. A refusal is raised for the first refused graph, U's
+    before V's.
     """
     if N < 1:
         raise InputError(f"truncation length must be positive, got {N}")
+    graphs = [enumerate_graph(i) for i in range(N)]
+    tu = _t_ind_many(graphs, U, cost_limit)
+    stop = next(
+        (i for i, t in enumerate(tu) if isinstance(t, TooExpensive)), N
+    )
+    tv = _t_ind_many(graphs[:stop], V, cost_limit)
     value = Fraction(0)
-    for i in range(N):
-        F = enumerate_graph(i)
-        gap = abs(t_ind_exact(F, U, cost_limit) - t_ind_exact(F, V, cost_limit))
-        value += Fraction(1, 2 ** i) * gap
+    for i, (a, b) in enumerate(zip(tu, tv)):
+        if isinstance(b, TooExpensive):
+            raise b
+        value += Fraction(1, 2 ** i) * abs(a - b)
+    if stop < N:
+        raise tu[stop]
     return value, Fraction(1, 2 ** (N - 1))

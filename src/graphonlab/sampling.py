@@ -3,7 +3,7 @@
 All randomness flows through RandomSource, a seeded wrapper around a fixed,
 platform-stable bit generator. Latent vertex positions are 64-bit dyadic
 rationals, so comparisons against rational edge probabilities are exact
-arithmetic on Fractions; the residual bias against an ideal uniform is below
+integer arithmetic; the residual bias against an ideal uniform is below
 2**-64 per comparison.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .core import finite_graph, graphon_of_graph, part_index
+from .core import finite_graph, graphon_of_graph, vertex_pairs
 from .errors import DigitOutOfRange, InputError
 
 _ALGORITHM = "mt19937-getrandbits"
@@ -72,10 +72,6 @@ class RandomSource:
         return RandomSource(int.from_bytes(raw, "big"), self.algorithm)
 
 
-def _pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def sample_graph(W, n, rs):
     """Vertex-exchangeable random graph: latent positions, then edge coins.
 
@@ -85,11 +81,22 @@ def sample_graph(W, n, rs):
     """
     if n < 1:
         raise InputError(f"need at least one vertex, got {n}")
-    idx = [part_index(W.k, rs.uniform()) for _ in range(n)]
+    k = W.k
+    # a uniform u / 2**64 lies in part floor(u * k / 2**64) and is below
+    # p/q iff u * q < p * 2**64: integer compares equal to the Fraction
+    # ones, with (q, p * 2**64) kept per cell of the parts drawn
+    idx = [(rs.getrandbits(64) * k) >> 64 for _ in range(n)]
+    cells = {
+        a: [(v.denominator, v.numerator << 64) for v in W.values[a]]
+        for a in set(idx)
+    }
     edges = []
-    for (i, j) in _pairs(n):
-        if rs.uniform() < W.values[idx[i]][idx[j]]:
-            edges.append((i, j))
+    for i in range(n):
+        row = cells[idx[i]]
+        for j in range(i + 1, n):
+            q, p_shifted = row[idx[j]]
+            if rs.getrandbits(64) * q < p_shifted:
+                edges.append((i, j))
     return finite_graph(n, edges)
 
 
@@ -115,7 +122,7 @@ def questionnaire_sample(n, Q, rs):
     answers = [[rs.getrandbits(q) for q in range(1, Q + 1)] for _ in range(n)]
     edges = [
         (i, j)
-        for (i, j) in _pairs(n)
+        for (i, j) in vertex_pairs(n)
         if any(answers[i][q] == answers[j][q] for q in range(Q))
     ]
     tv_bound = comb(n, 2) * Fraction(1, 2 ** Q)

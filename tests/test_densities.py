@@ -1,8 +1,10 @@
 """Labeled-graph enumeration and induced-subgraph densities."""
 
 from fractions import Fraction
+from itertools import permutations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from conftest import random_graphon
@@ -11,15 +13,26 @@ from graphonlab import (
     blow_up,
     constant_graphon,
     counting_bound,
+    d_w_truncated,
     enumerate_graph,
     finite_graph,
     graph_index,
     make_step_graphon,
+    part_index,
     permute_parts,
+    sample_graph,
     t_ind_exact,
     t_ind_mc,
 )
-from graphonlab.densities import _scaled_factors, _t_ind_loop
+from graphonlab import densities
+from graphonlab.densities import (
+    COST_LIMIT,
+    _class_key,
+    _route,
+    _scaled_factors,
+    _t_ind_loop,
+)
+from graphonlab.metrics import _counting_lower
 from graphonlab.errors import InputError, TooExpensive
 
 F = Fraction
@@ -115,3 +128,175 @@ def test_counting_bound_values():
     assert counting_bound(K2, 1) == 4 * comb(2, 2)
     with pytest.raises(InputError):
         counting_bound(K2, F(-1, 2))
+
+
+def _brute_t_ind(Fg, W):
+    # independent reference: the defining sum over all k**n assignments
+    total = F(0)
+    for a in product(range(W.k), repeat=Fg.n):
+        term = F(1)
+        for i in range(Fg.n):
+            for j in range(i + 1, Fg.n):
+                w = W.values[a[i]][a[j]]
+                term *= w if Fg.has_edge(i, j) else 1 - w
+        total += term
+    return total / W.k ** Fg.n
+
+
+def _bound(Fg, W):
+    L = _scaled_factors(Fg, W)[2]
+    return W.k ** Fg.n * L ** comb(Fg.n, 2), L
+
+
+def test_t_ind_int64_route_matches_big_integer_loop():
+    rs = RandomSource(41)
+    for _ in range(2):
+        W = random_graphon(32, rs, den=64)
+        for i in (20, 57):
+            Fg = enumerate_graph(i)
+            B, L = _bound(Fg, W)
+            assert Fg.n == 4 and 2 ** 53 <= B < 2 ** 63
+            assert _route(Fg.n, W.k, L, COST_LIMIT) is np.int64
+            w, c, _ = _scaled_factors(Fg, W)
+            assert t_ind_exact(Fg, W) == _t_ind_loop(Fg, W, w, c, L)
+    # the greedy einsum at n = 5 and the matrix product at n = 3, in int64
+    for k, den, i in ((4, 32, 200), (32, 2 ** 15, 7)):
+        W = random_graphon(k, rs, den=den)
+        Fg = enumerate_graph(i)
+        B, L = _bound(Fg, W)
+        assert _route(Fg.n, W.k, L, COST_LIMIT) is np.int64
+        w, c, _ = _scaled_factors(Fg, W)
+        assert t_ind_exact(Fg, W) == _t_ind_loop(Fg, W, w, c, L)
+
+
+def test_t_ind_loop_route_matches_brute_force():
+    rs = RandomSource(42)
+    for _ in range(3):
+        W = random_graphon(3, rs, den=257)
+        for i in (75, 400, 1098):
+            Fg = enumerate_graph(i)
+            B, L = _bound(Fg, W)
+            assert Fg.n == 5 and B >= 2 ** 63
+            assert _route(Fg.n, W.k, L, COST_LIMIT) is None
+            assert t_ind_exact(Fg, W) == _brute_t_ind(Fg, W)
+
+
+def test_t_ind_cost_limit_guards_integer_routes_only():
+    W = random_graphon(32, RandomSource(43), den=64)
+    Fg = enumerate_graph(33)
+    terms = W.k ** Fg.n
+    assert _route(Fg.n, W.k, _bound(Fg, W)[1], terms) is np.int64
+    assert t_ind_exact(Fg, W, cost_limit=terms) == t_ind_exact(Fg, W)
+    with pytest.raises(TooExpensive) as info:
+        t_ind_exact(Fg, W, cost_limit=terms - 1)
+    assert (info.value.required, info.value.limit) == (terms, terms - 1)
+    # the float64 route is exact without a guard
+    small = random_graphon(4, RandomSource(44), den=8)
+    assert _route(4, small.k, _bound(Fg, small)[1], 0) is np.float64
+    assert t_ind_exact(Fg, small, cost_limit=0) == _brute_t_ind(Fg, small)
+
+
+def test_batched_metrics_match_per_graph_reference():
+    rs = RandomSource(45)
+    graphs = [enumerate_graph(i) for i in range(75)]
+    # refusals: U from n = 3 on in the third case, V alone in the fourth
+    for ku, kv, den_u, den_v, cost in (
+        (3, 5, 64, 64, COST_LIMIT),
+        (6, 4, 2 ** 31, 64, COST_LIMIT),
+        (6, 4, 2 ** 31, 64, 100),
+        (2, 6, 2, 2 ** 31, 100),
+        (2, 7, 257, 64, 400),
+        (1, 8, 257, 64, COST_LIMIT),
+    ):
+        U = random_graphon(ku, rs, den=den_u)
+        V = random_graphon(kv, rs, den=den_v)
+        best, first_refusal, value = F(0), None, F(0)
+        for i, Fg in enumerate(graphs):
+            try:
+                gap = abs(t_ind_exact(Fg, U, cost) - t_ind_exact(Fg, V, cost))
+            except TooExpensive as exc:
+                first_refusal = first_refusal or exc
+                continue
+            if Fg.n > 1:
+                best = max(best, gap / (4 * comb(Fg.n, 2)))
+            if first_refusal is None:
+                value += F(1, 2 ** i) * gap
+        assert _counting_lower(U, V, 4, cost) == best
+        if first_refusal is None:
+            assert d_w_truncated(U, V, 75, cost) == (value, F(1, 2 ** 74))
+        else:
+            with pytest.raises(TooExpensive) as info:
+                d_w_truncated(U, V, 75, cost)
+            assert str(info.value) == str(first_refusal)
+
+
+def test_t_ind_invariant_under_relabeling_every_four_vertex_graph():
+    rs = RandomSource(46)
+    for W in (random_graphon(5, rs), random_graphon(3, rs, den=257)):
+        for i in range(11, 75):
+            Fg = enumerate_graph(i)
+            v = t_ind_exact(Fg, W)
+            for s in permutations(range(4)):
+                moved = finite_graph(4, [(s[a], s[b]) for (a, b) in Fg.edges])
+                assert t_ind_exact(moved, W) == v
+
+
+def _sample_reference(W, n, seed):
+    # the documented stream with Fraction compares
+    rs = RandomSource(seed)
+    idx = [part_index(W.k, rs.uniform()) for _ in range(n)]
+    return frozenset(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rs.uniform() < W.values[idx[i]][idx[j]]
+    )
+
+
+def test_integer_sample_graph_matches_fraction_reference():
+    d = 2 ** 31
+    edge_cases = make_step_graphon(
+        3,
+        [
+            [0, 1, F(1, d)],
+            [1, F(d - 1, d), F(1, 3)],
+            [F(1, d), F(1, 3), 1],
+        ],
+    )
+    rs = RandomSource(47)
+    for W in (edge_cases, random_graphon(7, rs, den=d), constant_graphon(F(1, 2))):
+        for seed in range(4):
+            G = sample_graph(W, 40, RandomSource(seed))
+            assert G.edges == _sample_reference(W, 40, seed)
+
+
+def test_route_thresholds_are_strict_powers_of_two():
+    # n = 2 on one part makes the bound k**n * L**C(n,2) equal to L
+    assert _route(2, 1, 2 ** 53 - 1, 0) is np.float64
+    assert _route(2, 1, 2 ** 53, 1) is np.int64
+    assert _route(2, 1, 2 ** 63 - 1, 1) is np.int64
+    assert _route(2, 1, 2 ** 63, 1) is None
+    with pytest.raises(TooExpensive):
+        _route(2, 1, 2 ** 53, 0)
+    # a real graphon just past the int64 bound takes the loop
+    W = random_graphon(15, RandomSource(48), den=257)
+    B, L = _bound(enumerate_graph(40), W)
+    assert 2 ** 63 <= B < 2 ** 64
+    assert _route(4, W.k, L, COST_LIMIT) is None
+
+
+def test_chunked_four_vertex_contraction(monkeypatch):
+    # one first vertex per chunk, on the int64 and the float64 route
+    monkeypatch.setattr(densities, "_CHUNK", 1)
+    rs = RandomSource(49)
+    for W in (random_graphon(5, rs, den=257), random_graphon(5, rs, den=8)):
+        for i in (11, 30, 52, 74):
+            Fg = enumerate_graph(i)
+            assert t_ind_exact(Fg, W) == _brute_t_ind(Fg, W)
+
+
+def test_isomorphism_classes_by_vertex_count():
+    # numbers of unlabeled graphs on 1..5 vertices
+    for n, count in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34)):
+        keys = {_class_key(n, mask) for mask in range(2 ** comb(n, 2))}
+        assert len(keys) == count
