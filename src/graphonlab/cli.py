@@ -16,7 +16,6 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .constructions import (
@@ -333,7 +332,7 @@ def _random_graphon(k, rs, den=64):
     return make_step_graphon(k, vals)
 
 
-def _suite_metric_chain(rs, pool):
+def _suite_metric_chain(rs):
     pairs = []
     for _ in range(40):
         k = 1 + rs.below(8)
@@ -355,12 +354,12 @@ def _suite_metric_chain(rs, pool):
         ) + d_square(B, C)
 
     return [
-        ("chain-order", all(pool(chain, pairs))),
-        ("triangle", all(pool(triangle, triples))),
+        ("chain-order", all([chain(p) for p in pairs])),
+        ("triangle", all([triangle(t) for t in triples])),
     ]
 
 
-def _suite_counting_lemma(rs, pool):
+def _suite_counting_lemma(rs):
     graphs = [enumerate_graph(i) for i in range(75)]  # all orders <= 4
     pairs = []
     for _ in range(20):
@@ -375,10 +374,10 @@ def _suite_counting_lemma(rs, pool):
             for F in graphs
         )
 
-    return [("counting-lemma", all(pool(check, pairs)))]
+    return [("counting-lemma", all([check(p) for p in pairs]))]
 
 
-def _suite_halting_roundtrip(table, pool):
+def _suite_halting_roundtrip(table):
     e_max = max(table.entries, default=0)
     stage, approx = 8, 2
     W = halting_graphon(table, e_max, stage, approx)
@@ -391,16 +390,14 @@ def _suite_halting_roundtrip(table, pool):
 
     return [
         ("spectrum-roundtrip", decoded == expected),
-        ("stage-chain", all(pool(chain, range(1, 7)))),
+        ("stage-chain", all([chain(s) for s in range(1, 7)])),
     ]
 
 
 def cmd_verify(args, man):
     suites = {
-        "metric-chain": lambda pool: _suite_metric_chain(RandomSource(args.seed), pool),
-        "counting-lemma": lambda pool: _suite_counting_lemma(
-            RandomSource(args.seed), pool
-        ),
+        "metric-chain": _suite_metric_chain,
+        "counting-lemma": _suite_counting_lemma,
     }
     if args.suite == "halting-roundtrip":
         if args.table:
@@ -408,21 +405,15 @@ def cmd_verify(args, man):
             man.note_input(args.table)
         else:
             table = HaltingTable({0: 3, 1: None, 2: 7, 3: None})
-        runner = lambda pool: _suite_halting_roundtrip(table, pool)
+        checks = _suite_halting_roundtrip(table)
     elif args.suite in suites:
         man.note_seed(args.seed)
-        runner = suites[args.suite]
+        checks = suites[args.suite](RandomSource(args.seed))
     else:
         raise UnknownSuite(
             f"unknown suite {args.suite!r}; declared: metric-chain, "
             f"counting-lemma, halting-roundtrip"
         )
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            checks = runner(lambda f, xs: list(ex.map(f, xs)))
-    else:
-        checks = runner(lambda f, xs: list(map(f, xs)))
 
     failed = 0
     for label, ok in checks:
@@ -443,14 +434,6 @@ def build_parser():
     )
     parser.add_argument(
         "--manifest", metavar="PATH", help="write a reproducibility manifest"
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for verify suites; results are identical "
-        "regardless of the count",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

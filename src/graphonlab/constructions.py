@@ -25,6 +25,7 @@ from .errors import (
     RenderTooLarge,
     TooManyParts,
 )
+from .metrics import _cut_extrema
 
 BLOCK_LIMIT = 6
 RENDER_DEPTH_LIMIT = 4
@@ -157,15 +158,6 @@ def halting_tail_measure(E):
     return Fraction(1, 3 * 4 ** (E + 1))
 
 
-def _signed_extrema(rows, k):
-    """(max, min) over subset boxes of the scaled block sum; small k only."""
-    from .metrics import _cut_extrema
-
-    if k > 20:
-        raise TooManyParts(f"pattern resolution {k} too fine for exact certificate")
-    return _cut_extrema(rows, k)
-
-
 def halting_chain_certificate(table, E, s, approx_param):
     """Exact cut distance between consecutive stage truncations s and s+1.
 
@@ -198,12 +190,15 @@ def halting_chain_certificate(table, E, s, approx_param):
             pos_total += mean * area
             continue
         # constant m_e replaced by the sign pattern: +-(r-l)/2 layout
-        signs = _sylvester_signs(k_in)
-        hi, lo = _signed_extrema(signs, k_in)
+        if k_in > 20:
+            raise TooManyParts(
+                f"pattern resolution {k_in} too fine for exact certificate"
+            )
+        hi, lo = _cut_extrema(np.array([_sylvester_signs(k_in)]))
         amp = (right - left) / 2
         scale = Fraction(bp * bp, k_in * k_in * N * N)
-        pos_total += amp * hi * scale
-        neg_total += amp * lo * scale
+        pos_total += amp * int(hi[0]) * scale
+        neg_total += amp * int(lo[0]) * scale
     return max(pos_total, -neg_total)
 
 

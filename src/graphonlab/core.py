@@ -90,14 +90,20 @@ def vertex_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def adjacency_rows(G):
+    """The 0/1 integer rows of G's adjacency matrix, built from its edges."""
+    rows = [[0] * G.n for _ in range(G.n)]
+    for i, j in G.edges:
+        rows[i][j] = rows[j][i] = 1
+    return rows
+
+
 def graphon_of_graph(G):
     """Embed a finite graph as the 0/1 step graphon on n parts."""
     if G.n == 0:
         raise EmptyGraph("cannot embed a graph with no vertices")
-    rows = tuple(
-        tuple(ONE if G.has_edge(i, j) else ZERO for j in range(G.n))
-        for i in range(G.n)
-    )
+    cells = (ZERO, ONE)
+    rows = tuple(tuple(cells[v] for v in row) for row in adjacency_rows(G))
     return StepGraphon(G.n, rows)
 
 

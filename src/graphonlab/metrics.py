@@ -1,15 +1,19 @@
 """Pseudometrics between step graphons.
 
-d1 and d2 are exact cellwise integrals on the common refinement. The cut
-norm is computed exactly by enumerating row subsets with a greedy column
-choice; the objective is bilinear in fractional part memberships, so it is
-maximized at a vertex of the membership box and part subsets suffice.
+d1 and d2 are exact cellwise integrals on the common refinement. Every
+exact cut value (cut_norm, d_square, hat_delta, delta_bound and the halting
+chain certificate) comes from one kernel, _cut_extrema, on integer matrices
+scaled by the lcm of the cell denominators: it enumerates row subsets and
+picks the best columns greedily. The objective is bilinear in fractional
+part memberships, so it is maximized at a vertex of the membership box and
+part subsets suffice. The kernel computes in int64 while K*K*m < 2**62 (m
+the largest absolute entry) and in Python integers above. float64 remains
+in _certified_upper and the enumeration oracle, where every intermediate is
+provably an exactly representable integer, and in the candidate searches
+(_heuristic_cut, _profile_perms), whose picks are scored exactly.
+
 Alignment distances (hat_delta, delta_bound) report two-sided DeltaBound
 results and never claim the infimum itself.
-
-All exact routines work on integer matrices scaled by the lcm of the cell
-denominators; float64 is used only where every intermediate is provably an
-exactly representable integer.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from math import comb, factorial, lcm
 
 import numpy as np
 
-from .core import blow_up, reduce_step_graphon
+from .core import adjacency_rows, blow_up, reduce_step_graphon
 from .densities import COST_LIMIT, _t_ind_many, enumerate_graph
 from .errors import (
     AsymmetricMatrix,
+    EmptyGraph,
     ExactTooLarge,
     InputError,
     OutOfRange,
@@ -39,7 +44,7 @@ FULL_ENUM_LIMIT = 12
 HAT_EXACT_LIMIT = 8
 ALIGN_EXACT_LIMIT = 12
 
-_CHUNK = 1 << 14
+_TABLE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,66 +114,54 @@ def _subset_bits(lo, hi, k):
     )
 
 
-def _cut_extrema_float(rows, K):
-    # exact while K*K*max|entry| < 2**53: all partial sums are integers
-    Df = np.array(rows, dtype=np.float64)
-    hi_best, lo_best = 0, 0
-    for lo in range(0, 2 ** K, _CHUNK):
-        bits = _subset_bits(lo, min(lo + _CHUNK, 2 ** K), K)
-        CS = bits @ Df
-        pos = np.where(CS > 0.0, CS, 0.0).sum(axis=1)
-        neg = np.where(CS < 0.0, CS, 0.0).sum(axis=1)
-        hi_best = max(hi_best, int(pos.max()))
-        lo_best = min(lo_best, int(neg.min()))
-    return hi_best, lo_best
+def _cut_dtype(K, m):
+    """int64 while every subset sum of a K x K matrix with entries of
+    absolute value at most m, itself at most K*K*m, stays below 2**62;
+    Python integers otherwise."""
+    return np.int64 if K * K * m < 2 ** 62 else object
 
 
-def _cut_extrema_int64(rows, K):
-    Di = [np.array(row, dtype=np.int64) for row in rows]
-    cs = np.zeros(K, dtype=np.int64)
-    hi_best, lo_best = 0, 0
-    prev = 0
-    for s in range(1, 2 ** K):
-        gray = s ^ (s >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        prev = gray
-        if (gray >> bit) & 1:
-            cs += Di[bit]
-        else:
-            cs -= Di[bit]
-        hi_best = max(hi_best, int(cs[cs > 0].sum()))
-        lo_best = min(lo_best, int(cs[cs < 0].sum()))
-    return hi_best, lo_best
+def _cut_extrema(D):
+    """Per-matrix (max, min) over part subsets S, T of the sum over S x T.
 
-
-def _cut_extrema_bigint(rows, K):
-    cs = [0] * K
-    hi_best, lo_best = 0, 0
-    prev = 0
-    for s in range(1, 2 ** K):
-        gray = s ^ (s >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        prev = gray
-        row = rows[bit]
-        if (gray >> bit) & 1:
-            cs = [a + b for a, b in zip(cs, row)]
-        else:
-            cs = [a - b for a, b in zip(cs, row)]
-        hi_best = max(hi_best, sum(c for c in cs if c > 0))
-        lo_best = min(lo_best, sum(c for c in cs if c < 0))
-    return hi_best, lo_best
-
-
-def _cut_extrema(rows, K):
-    """(max, min) over part subsets S, T of the scaled sum over S x T."""
-    m = max((abs(e) for row in rows for e in row), default=0)
+    D is a (P, K, K) stack of integer matrices. The column sums of every
+    subset of the first c rows are tabulated by doubling, within
+    _TABLE_CELLS cells; a Gray-code sweep over the other K - c rows then
+    adds or subtracts one row on the whole table per step. For a fixed row
+    subset the best column subset takes the positive (or the negative)
+    column sums. The table is laid out (column, row subset, matrix) so that
+    every reduction runs over the outermost axis.
+    """
+    P, K, _ = D.shape
+    m = int(np.abs(D).max())
     if m == 0:
-        return 0, 0
-    if K * K * m < 2 ** 53:
-        return _cut_extrema_float(rows, K)
-    if K * K * m < 2 ** 62:
-        return _cut_extrema_int64(rows, K)
-    return _cut_extrema_bigint(rows, K)
+        zero = np.zeros(P, dtype=np.int64)
+        return zero, zero
+    D = D.astype(_cut_dtype(K, m), copy=False)
+    c = 0
+    while c < K and (P * K) << (c + 1) <= _TABLE_CELLS:
+        c += 1
+    rows = np.ascontiguousarray(D.transpose(1, 2, 0))[:, :, None, :]
+    CS = np.zeros((K, 1 << c, P), dtype=D.dtype)
+    for i in range(c):
+        CS[:, 1 << i : 2 << i] = CS[:, : 1 << i] + rows[i]
+    hi = np.zeros(P, dtype=D.dtype)
+    lo = np.zeros(P, dtype=D.dtype)
+    prev = 0
+    for s in range(1 << (K - c)):
+        if s:
+            gray = s ^ (s >> 1)
+            bit = (gray ^ prev).bit_length() - 1
+            prev = gray
+            if (gray >> bit) & 1:
+                CS += rows[c + bit]
+            else:
+                CS -= rows[c + bit]
+        pos = np.maximum(CS, 0).sum(axis=0)
+        neg = CS.sum(axis=0) - pos
+        hi = np.maximum(hi, pos.max(axis=0))
+        lo = np.minimum(lo, neg.min(axis=0))
+    return hi, lo
 
 
 def _validate_signed(F):
@@ -196,20 +189,27 @@ def cut_norm(F, mode="exact", exact_limit=EXACT_LIMIT, seed=0, restarts=16):
     achieves; any concrete (S, T) certifies a lower bound on the norm.
     """
     rows, K = _validate_signed(F)
-    scaled = _scaled_rows([rows])
-    ints, L = scaled[0], scaled[1]
+    ints, L = _scaled_rows([rows])
+    refusal = (
+        f"{K} parts exceeds exact limit {exact_limit}; "
+        "request heuristic mode for an achievable value"
+    )
+    return _mode_cut(ints, K, L, mode, exact_limit, seed, restarts, refusal)
+
+
+def _mode_cut(rows, K, L, mode, exact_limit, seed, restarts, refusal):
+    """Cut value of a scaled integer matrix by the requested mode; exact
+    mode raises TooManyParts(refusal) above exact_limit parts."""
     if mode == "exact":
         if K > exact_limit:
-            raise TooManyParts(
-                f"{K} parts exceeds exact limit {exact_limit}; "
-                "request heuristic mode for an achievable value"
-            )
-        hi, lo = _cut_extrema(ints, K)
-        return Fraction(max(hi, -lo), L * K * K)
-    if mode == "heuristic":
-        val, _, _ = _heuristic_cut(ints, K, seed, restarts)
-        return Fraction(val, L * K * K)
-    raise InputError(f"unknown mode {mode!r}")
+            raise TooManyParts(refusal)
+        hi, lo = _cut_extrema(np.array([rows], dtype=object))
+        val = max(int(hi[0]), -int(lo[0]))
+    elif mode == "heuristic":
+        val, _, _ = _heuristic_cut(rows, K, seed, restarts)
+    else:
+        raise InputError(f"unknown mode {mode!r}")
+    return Fraction(val, L * K * K)
 
 
 def _heuristic_cut(rows, K, seed, restarts):
@@ -266,80 +266,35 @@ def cut_norm_full_enumeration(F):
 def d_square(U, V, mode="exact", exact_limit=EXACT_LIMIT, seed=0, restarts=16):
     """Cut distance: cut norm of U - V on the common refinement."""
     rows, L, K = _refined_diff(U, V)
-    if mode == "exact":
-        if K > exact_limit:
-            raise TooManyParts(
-                f"common refinement has {K} parts, exact limit {exact_limit}"
-            )
-        hi, lo = _cut_extrema(rows, K)
-        return Fraction(max(hi, -lo), L * K * K)
-    if mode == "heuristic":
-        val, _, _ = _heuristic_cut(rows, K, seed, restarts)
-        return Fraction(val, L * K * K)
-    raise InputError(f"unknown mode {mode!r}")
+    refusal = f"common refinement has {K} parts, exact limit {exact_limit}"
+    return _mode_cut(rows, K, L, mode, exact_limit, seed, restarts, refusal)
 
 
-def _adjacency(G):
-    return [
-        [1 if G.has_edge(i, j) else 0 for j in range(G.n)] for i in range(G.n)
-    ]
+def _int_arrays(A, B):
+    """Two K x K integer matrices as arrays in the cut kernel's dtype for
+    their permuted differences, whose entries are at most |a| + |b|."""
+    m = max(abs(v) for M in (A, B) for row in M for v in row)
+    dtype = _cut_dtype(len(A), 2 * m)
+    return np.array(A, dtype=dtype), np.array(B, dtype=dtype)
 
 
-def _perm_diff(AG, AH, sigma):
-    n = len(AG)
-    return [
-        [AG[sigma[i]][sigma[j]] - AH[i][j] for j in range(n)] for i in range(n)
-    ]
+def _aligned_cuts(A, B, perms):
+    """Scaled cut value of A[sigma][sigma] - B for each sigma in perms."""
+    hi, lo = _cut_extrema(A[perms[:, :, None], perms[:, None, :]] - B)
+    return np.maximum(hi, -lo)
 
 
-def _exact_cut_value(rows, K, L):
-    hi, lo = _cut_extrema(rows, K)
-    return Fraction(max(hi, -lo), L * K * K)
-
-
-def _all_perms_min(Aint, Bint, K):
-    """Exact min over all K! alignments of the scaled cut value.
-
-    Vectorized: difference tensors for every permutation at once, then a
-    Gray-code sweep over row subsets with greedy columns.
-    """
-    perms = np.array(list(permutations(range(K))), dtype=np.intp)
-    A = np.array(Aint, dtype=np.int64)
-    B = np.array(Bint, dtype=np.int64)
-    D = A[perms[:, :, None], perms[:, None, :]] - B[None, :, :]
-    nperm = len(perms)
-    cs = np.zeros((nperm, K), dtype=np.int64)
-    best = np.zeros(nperm, dtype=np.int64)
-    prev = 0
-    for s in range(1, 2 ** K):
-        gray = s ^ (s >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        prev = gray
-        if (gray >> bit) & 1:
-            cs += D[:, bit, :]
-        else:
-            cs -= D[:, bit, :]
-        pos = np.where(cs > 0, cs, 0).sum(axis=1)
-        neg = np.where(cs < 0, cs, 0).sum(axis=1)
-        np.maximum(best, pos, out=best)
-        np.maximum(best, -neg, out=best)
+def _all_perms_min(A, B):
+    """Exact min over all K! alignments of the scaled cut value, with the
+    first permutation attaining it; A and B come from _int_arrays."""
+    perms = np.array(list(permutations(range(len(A)))), dtype=np.intp)
+    best = _aligned_cuts(A, B, perms)
     w = int(np.argmin(best))
     return int(best[w]), tuple(int(x) for x in perms[w])
 
 
 def _sorted_row_keys(rows):
     return [tuple(sorted(row)) for row in rows]
-
-
-def _match_perm(keys_a, keys_b):
-    """Permutation sending sorted ranks of b onto sorted ranks of a."""
-    K = len(keys_a)
-    ord_a = sorted(range(K), key=lambda i: (keys_a[i], i))
-    ord_b = sorted(range(K), key=lambda i: (keys_b[i], i))
-    sigma = [0] * K
-    for r in range(K):
-        sigma[ord_b[r]] = ord_a[r]
-    return tuple(sigma)
 
 
 class _Budget:
@@ -402,7 +357,9 @@ def hat_delta(G, H, mode="exact", budget=2000, seed=0, restarts=16):
     if G.n != H.n:
         raise SizeMismatch(f"vertex counts differ: {G.n} vs {H.n}")
     n = G.n
-    AG, AH = _adjacency(G), _adjacency(H)
+    if n == 0:
+        raise EmptyGraph("alignment distance needs at least one vertex")
+    AG, AH = adjacency_rows(G), adjacency_rows(H)
     if mode == "exact":
         if n > HAT_EXACT_LIMIT:
             raise ExactTooLarge(
@@ -410,18 +367,19 @@ def hat_delta(G, H, mode="exact", budget=2000, seed=0, restarts=16):
             )
         if n == 1:
             return DeltaBound(Fraction(0), Fraction(0), (1, (0,)))
-        best, sigma = _all_perms_min(AG, AH, n)
+        best, sigma = _all_perms_min(*_int_arrays(AG, AH))
         val = Fraction(best, n * n)
         return DeltaBound(val, val, (1, sigma))
     if mode != "heuristic":
         raise InputError(f"unknown mode {mode!r}")
+    A, B = _int_arrays(AG, AH)
 
     def evaluate(sigma):
-        return _exact_cut_value(_perm_diff(AG, AH, sigma), n, 1)
+        return Fraction(int(_aligned_cuts(A, B, np.array([sigma]))[0]), n * n)
 
     bud = _Budget(budget)
     rs = RandomSource(seed)
-    start = _match_perm(_sorted_row_keys(AG), _sorted_row_keys(AH))
+    start = _canonical_perms(AG, AH, n, cap=1)[0]
     cand = [(evaluate(tuple(range(n))), tuple(range(n)))]
     if bud.take():
         cand.append((evaluate(start), start))
@@ -649,17 +607,15 @@ def delta_bound(
         Vr = blow_up(V, K // V.k)
         ru, rv, L = _scaled_rows([Ur.values, Vr.values])
         if K <= exact_refinement_limit:
+            A, B = _int_arrays(ru, rv)
 
-            def evaluate(sigma, ru=ru, rv=rv, K=K, L=L):
-                rows = [
-                    [ru[sigma[i]][sigma[j]] - rv[i][j] for j in range(K)]
-                    for i in range(K)
-                ]
-                return _exact_cut_value(rows, K, L)
+            def evaluate(sigma, A=A, B=B, scale=L * K * K):
+                cut = _aligned_cuts(A, B, np.array([sigma]))[0]
+                return Fraction(int(cut), scale)
 
             if factorial(K) <= bud.left:
                 bud.take(factorial(K))
-                best_int, sigma = _all_perms_min(ru, rv, K)
+                best_int, sigma = _all_perms_min(A, B)
                 val = Fraction(best_int, L * K * K)
                 if val < upper:
                     upper, witness = val, (m, sigma)

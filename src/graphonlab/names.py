@@ -10,7 +10,6 @@ verdict can be Inconclusive.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -49,28 +48,20 @@ class MetricTag(Enum):
 
 
 class GraphonName:
-    """Lazy memoized element sequence under a metric tag.
-
-    Single producer: materializing a new element is serialized; reads of
-    already-materialized prefixes need no lock.
-    """
+    """Lazy memoized element sequence under a metric tag."""
 
     def __init__(self, tag, element_fn, claimed_tol_fn=None):
         self.tag = tag
         self._fn = element_fn
         self._memo = {}
-        self._lock = threading.Lock()
         self._tol_fn = claimed_tol_fn
 
     def element(self, j):
         if j < 0:
             raise InputError(f"element index must be nonnegative, got {j}")
-        if j in self._memo:
-            return self._memo[j]
-        with self._lock:
-            if j not in self._memo:
-                self._memo[j] = self._fn(j)
-            return self._memo[j]
+        if j not in self._memo:
+            self._memo[j] = self._fn(j)
+        return self._memo[j]
 
     def claimed_tolerance(self, j):
         return self._tol_fn(j) if self._tol_fn is not None else None
@@ -139,18 +130,18 @@ def validate_name_prefix(
                 dist = dist_fn(name.element(j), name.element(l))
                 if dist >= th:
                     return Violation(
-                        j, l, f"{name.tag.value} = {dist} > {th}"
+                        j, l, f"{name.tag.value} = {dist} >= {th}"
                     )
             elif name.tag is MetricTag.DELTASQUARE:
                 b = delta_bound(
                     name.element(j), name.element(l),
                     budget=delta_budget, seed=seed,
                 )
-                if b.lower > th:
+                if b.lower >= th:
                     return Violation(
-                        j, l, f"certified lower bound {b.lower} > {th}"
+                        j, l, f"certified lower bound {b.lower} >= {th}"
                     )
-                if b.upper > th and pending is None:
+                if b.upper >= th and pending is None:
                     pending = Inconclusive(
                         j, l, f"bracket [{b.lower}, {b.upper}] straddles {th}"
                     )
@@ -159,7 +150,7 @@ def validate_name_prefix(
                 V = _as_graphon(name.element(l))
                 value, tail = d_w_truncated(U, V, dw_truncation)
                 if value >= th:
-                    return Violation(j, l, f"truncated dw = {value} > {th}")
+                    return Violation(j, l, f"truncated dw = {value} >= {th}")
                 if value + tail >= th and pending is None:
                     pending = Inconclusive(
                         j, l,
@@ -386,39 +377,37 @@ def section_delta_to_dsquare(name, align_budget=2000, seed=0):
     the 2**-j rate. The stages themselves are exposed as name.stages.
     """
     stages = []
-    lock = threading.Lock()
 
     def stage(n):
         if n < 0:
             raise InputError(f"stage index must be nonnegative, got {n}")
-        with lock:
-            while len(stages) <= n:
-                m = len(stages)
-                if m == 0:
-                    G0 = _reduce_presentation(_graphify(name.element(2)))
-                    stages.append(SectionStage(G0, Fraction(0)))
-                    continue
-                prev = stages[m - 1].graph
-                H = _reduce_presentation(_graphify(name.element(2 ** (2 * m) + 1)))
-                L = lcm(prev.n, H.n)
-                Hb = _blow_graph(H, L // H.n)
-                Gb = _blow_graph(prev, L // prev.n)
-                if L <= HAT_EXACT_LIMIT:
-                    db = hat_delta(Hb, Gb, mode="exact")
-                else:
-                    db = hat_delta(
-                        Hb, Gb, mode="heuristic", budget=align_budget,
-                        seed=seed + m,
-                    )
-                aligned = _collapse_contiguous(_relabel_graph(Hb, db.witness[1]))
-                cert = _graph_cut_distance(aligned, prev)
-                threshold = Fraction(45, 2 ** (m - 1))
-                if cert > threshold:
-                    raise AlignmentBudgetExceeded(
-                        f"stage {m} certificate {cert} exceeds 45 * 2**-{m - 1}"
-                    )
-                stages.append(SectionStage(aligned, cert))
-            return stages[n]
+        while len(stages) <= n:
+            m = len(stages)
+            if m == 0:
+                G0 = _reduce_presentation(_graphify(name.element(2)))
+                stages.append(SectionStage(G0, Fraction(0)))
+                continue
+            prev = stages[m - 1].graph
+            H = _reduce_presentation(_graphify(name.element(2 ** (2 * m) + 1)))
+            L = lcm(prev.n, H.n)
+            Hb = _blow_graph(H, L // H.n)
+            Gb = _blow_graph(prev, L // prev.n)
+            if L <= HAT_EXACT_LIMIT:
+                db = hat_delta(Hb, Gb, mode="exact")
+            else:
+                db = hat_delta(
+                    Hb, Gb, mode="heuristic", budget=align_budget,
+                    seed=seed + m,
+                )
+            aligned = _collapse_contiguous(_relabel_graph(Hb, db.witness[1]))
+            cert = _graph_cut_distance(aligned, prev)
+            threshold = Fraction(45, 2 ** (m - 1))
+            if cert > threshold:
+                raise AlignmentBudgetExceeded(
+                    f"stage {m} certificate {cert} exceeds 45 * 2**-{m - 1}"
+                )
+            stages.append(SectionStage(aligned, cert))
+        return stages[n]
 
     out = GraphonName(
         MetricTag.DSQUARE,

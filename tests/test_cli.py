@@ -162,13 +162,6 @@ def test_verify_suites_pass():
         assert f"suite {suite}: pass" in r.stdout
 
 
-def test_verify_threads_identical_output():
-    one = run("--threads", 1, "verify", "metric-chain")
-    four = run("--threads", 4, "verify", "metric-chain")
-    assert one.returncode == four.returncode == 0
-    assert one.stdout == four.stdout
-
-
 def test_manifest_reproducible(tmp_path):
     g = tmp_path / "k2.g"
     write_graph(g, finite_graph(2, [(0, 1)]))

@@ -1,7 +1,9 @@
 """Exact metrics: L1, L2, cut norm, alignment brackets, truncated d_w."""
 
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from conftest import random_graphon
@@ -26,11 +28,19 @@ from graphonlab import (
 )
 from graphonlab.errors import (
     AsymmetricMatrix,
+    EmptyGraph,
     ExactTooLarge,
     InputError,
     OutOfRange,
     SizeMismatch,
     TooManyParts,
+)
+from graphonlab.metrics import (
+    _TABLE_CELLS,
+    _all_perms_min,
+    _cut_extrema,
+    _int_arrays,
+    _scaled_rows,
 )
 
 F = Fraction
@@ -171,3 +181,88 @@ def test_d_w_truncated_presentation_invariance():
     head_a, _ = d_w_truncated(W, constant_graphon(F(1, 2)), 8)
     head_b, _ = d_w_truncated(blow_up(W, 3), constant_graphon(F(1, 2)), 8)
     assert head_a == head_b
+
+
+def _brute_extrema(M):
+    """(max, min) of the sum over S x T, every pair of subsets, in Python ints."""
+    K = len(M)
+    sums = [
+        sum(M[i][j] for i in range(K) if S >> i & 1 for j in range(K) if T >> j & 1)
+        for S in range(1 << K)
+        for T in range(1 << K)
+    ]
+    return max(sums), min(sums)
+
+
+@pytest.mark.parametrize("den", [64, 2 ** 40, 2 ** 70])
+def test_cut_kernel_matches_brute_force(den):
+    rs = RandomSource(den % 997)
+    for K in range(1, 7):
+        mats = [
+            [[rs.below(2 * den + 1) - den for _ in range(K)] for _ in range(K)]
+            for _ in range(3)
+        ]
+        # enough copies that the table cannot hold all rows: the sweep runs
+        reps = _TABLE_CELLS // (len(mats) * K << K) + 1
+        hi, lo = _cut_extrema(np.array(mats * reps, dtype=object))
+        assert hi.dtype == (object if den == 2 ** 70 else np.int64)
+        expected = [_brute_extrema(M) for M in mats] * reps
+        assert [(int(a), int(b)) for a, b in zip(hi, lo)] == expected
+
+
+def test_cut_kernel_on_all_permuted_differences():
+    rs = RandomSource(21)
+    K = 6
+    U, V = random_graphon(K, rs), random_graphon(K, rs)
+    ru, rv, L = _scaled_rows([U.values, V.values])
+    A, B = _int_arrays(ru, rv)
+    perms = np.array(list(permutations(range(K))))
+    D = A[perms[:, :, None], perms[:, None, :]] - B
+    assert len(D) * K << K > _TABLE_CELLS
+    hi, lo = _cut_extrema(D)
+    for p in range(len(D)):
+        M = [[F(int(v), L) for v in row] for row in D[p]]
+        value = F(max(int(hi[p]), -int(lo[p])), L * K * K)
+        assert value == cut_norm_full_enumeration(M)
+
+
+def test_all_perms_min_is_the_permutation_minimum():
+    rs = RandomSource(22)
+    for K in (2, 3, 4, 5):
+        U, V = random_graphon(K, rs), random_graphon(K, rs)
+        ru, rv, L = _scaled_rows([U.values, V.values])
+        best, sigma = _all_perms_min(*_int_arrays(ru, rv))
+        value = F(best, L * K * K)
+        assert value == min(
+            d_square(permute_parts(U, s), V) for s in permutations(range(K))
+        )
+        assert d_square(permute_parts(U, sigma), V) == value
+
+
+def test_hat_delta_refuses_empty_graphs():
+    E = finite_graph(0, [])
+    for mode in ("exact", "heuristic"):
+        with pytest.raises(EmptyGraph):
+            hat_delta(E, E, mode=mode)
+
+
+def _permutation_minimum(U, V):
+    return min(d_square(permute_parts(U, s), V) for s in permutations(range(U.k)))
+
+
+def test_delta_bound_sound_past_int64_two_parts():
+    # scale lcm(2**61 - 1, 2**31) does not fit int64 at all
+    U = make_step_graphon(2, [[F(1, 2 ** 61 - 1), 0], [0, 1]])
+    V = make_step_graphon(2, [[F(1, 2 ** 31), 0], [0, 0]])
+    db = delta_bound(U, V)
+    assert db.upper == _permutation_minimum(U, V)
+
+
+def test_delta_bound_sound_past_int64_four_parts():
+    # entries fit int64 but 16 * max|entry| exceeds 2**62: subset sums wrap
+    L = 2 ** 60 - 1
+    U = make_step_graphon(4, [[F(L - 1 - i - j, L) for j in range(4)] for i in range(4)])
+    V = make_step_graphon(4, [[F(1 + i * j, L) for j in range(4)] for i in range(4)])
+    db = delta_bound(U, V, lower_vertex_limit=1)
+    assert db.upper == _permutation_minimum(U, V)
+    assert db.upper > F(9, 10)

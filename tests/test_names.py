@@ -74,7 +74,20 @@ def test_strict_violation_at_the_threshold():
         lambda j: constant_graphon(1) if j % 2 == 0 else constant_graphon(0),
     )
     verdict = validate_name_prefix(name, 3)
-    assert verdict == Violation(0, 1, "d1 = 1 > 1")
+    assert verdict == Violation(0, 1, "d1 = 1 >= 1")
+
+
+def test_threshold_is_strict_under_every_exact_and_alignment_tag():
+    # delta-square of constants 0 and 1/2 is |0 - 1/2| = 2**-1, the threshold
+    elems = [constant_graphon(0), constant_graphon(0), constant_graphon(F(1, 2))]
+    for tag in (MetricTag.D1, MetricTag.DSQUARE):
+        verdict = validate_name_prefix(GraphonName(tag, elems.__getitem__), 3)
+        assert verdict == Violation(1, 2, f"{tag.value} = 1/2 >= 1/2")
+    verdict = validate_name_prefix(
+        GraphonName(MetricTag.DELTASQUARE, elems.__getitem__), 3
+    )
+    assert isinstance(verdict, Inconclusive)
+    assert (verdict.j, verdict.l) == (1, 2)
 
 
 def test_validate_rejects_short_prefixes():
