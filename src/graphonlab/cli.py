@@ -324,6 +324,8 @@ def cmd_render_pgm(args, man):
 
 
 def _random_graphon(k, rs, den=64):
+    """Symmetric k-part graphon with seeded cells in {0, 1/den, ..., 1};
+    the verify suites and the test suite draw from this one stream."""
     vals = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):

@@ -20,6 +20,7 @@ import numpy as np
 from .core import ONE, ZERO, StepGraphon, blow_up, make_step_graphon
 from .errors import (
     BlockLimitExceeded,
+    CertificateError,
     InputError,
     MalformedSpectrum,
     RenderTooLarge,
@@ -98,7 +99,10 @@ def _block_specs(table, E, s, approx_param):
         k_in = min(2 ** max(1, 2 * approx_param - 2), bp)
         left, mid, right = level_constants(e)
         # pattern cut distance (r-l)/(2 sqrt(k)) must certify <= 2**-a
-        assert (right - left) ** 2 * 4 ** approx_param <= 4 * k_in
+        if (right - left) ** 2 * 4 ** approx_param > 4 * k_in:
+            raise CertificateError(
+                f"block {e} pattern cut distance exceeds 2**-{approx_param}"
+            )
         specs.append(
             {
                 "e": e,
@@ -314,7 +318,8 @@ def fractal_white_limit(tol):
     lo = _exp_neg_interval(head + tail, tol / 4)[0]
     hi = _exp_neg_interval(head, tol / 4)[1]
     # brackets add tol/8, the tail gap tol/4; total stays below tol
-    assert hi - lo <= tol
+    if hi - lo > tol:
+        raise CertificateError(f"enclosure width {hi - lo} exceeds {tol}")
     return lo, hi
 
 

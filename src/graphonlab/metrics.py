@@ -1,16 +1,24 @@
 """Pseudometrics between step graphons.
 
-d1 and d2 are exact cellwise integrals on the common refinement. Every
-exact cut value (cut_norm, d_square, hat_delta, delta_bound and the halting
-chain certificate) comes from one kernel, _cut_extrema, on integer matrices
-scaled by the lcm of the cell denominators: it enumerates row subsets and
-picks the best columns greedily. The objective is bilinear in fractional
-part memberships, so it is maximized at a vertex of the membership box and
-part subsets suffice. The kernel computes in int64 while K*K*m < 2**62 (m
-the largest absolute entry) and in Python integers above. float64 remains
-in _certified_upper and the enumeration oracle, where every intermediate is
-provably an exactly representable integer, and in the candidate searches
-(_heuristic_cut, _profile_perms), whose picks are scored exactly.
+d1 and d2 are exact weighted sums on the merged breakpoints of the two
+partitions: a + b - gcd(a, b) intervals for reduced part counts a and b,
+each graphon scaled to integers once at its own size. The cut distance
+d_square and the alignment search in delta_bound keep the equal-width
+refinement on lcm(a, b) parts, since only its part permutations preserve
+measure; d_square refuses an exact request on too many parts before it
+builds anything.
+
+Every exact cut value (cut_norm, d_square, hat_delta, delta_bound and the
+halting chain certificate) comes from one kernel, _cut_extrema, on integer
+matrices scaled by the lcm of the cell denominators: it enumerates row
+subsets and picks the best columns greedily. The objective is bilinear in
+fractional part memberships, so it is maximized at a vertex of the
+membership box and part subsets suffice. The kernel computes in int64 while
+K*K*m < 2**62 (m the largest absolute entry) and in Python integers above.
+float64 remains in _certified_upper and the enumeration oracle, where every
+intermediate is provably an exactly representable integer, and in the
+candidate searches (_heuristic_cut, _profile_perms), whose picks are scored
+exactly.
 
 Alignment distances (hat_delta, delta_bound) report two-sided DeltaBound
 results and never claim the infimum itself.
@@ -25,7 +33,7 @@ from math import comb, factorial, lcm
 
 import numpy as np
 
-from .core import adjacency_rows, blow_up, reduce_step_graphon
+from .core import adjacency_rows, reduce_step_graphon
 from .densities import COST_LIMIT, _t_ind_many, enumerate_graph
 from .errors import (
     AsymmetricMatrix,
@@ -64,47 +72,59 @@ class DeltaBound:
             raise InputError(f"lower {self.lower} exceeds upper {self.upper}")
 
 
-def _scaled_rows(matrices):
-    """Common integer scaling of several rational matrices; returns L last."""
-    L = 1
-    for M in matrices:
-        for row in M:
-            for v in row:
-                L = lcm(L, Fraction(v).denominator)
-    outs = [[[int(Fraction(v) * L) for v in row] for row in M] for M in matrices]
-    return outs + [L]
-
-
-def _refined_diff(U, V):
-    """Integer difference matrix on the common refinement, with its scale."""
-    U, V = reduce_step_graphon(U), reduce_step_graphon(V)
-    K = lcm(U.k, V.k)
-    Ur = blow_up(U, K // U.k)
-    Vr = blow_up(V, K // V.k)
-    L = 1
-    for W in (Ur, Vr):
-        for row in W.values:
-            for v in row:
-                L = lcm(L, v.denominator)
-    rows = [
-        [int((Ur.values[i][j] - Vr.values[i][j]) * L) for j in range(K)]
-        for i in range(K)
+def _scale(*matrices):
+    """Rational matrices as integer rows over one common scale L: every
+    cell v becomes v.numerator * (L // v.denominator). Returns the scaled
+    matrices followed by L."""
+    L = lcm(*{v.denominator for M in matrices for row in M for v in row})
+    scaled = [
+        [[v.numerator * (L // v.denominator) for v in row] for row in M]
+        for M in matrices
     ]
-    return rows, L, K
+    return (*scaled, L)
+
+
+def _blow_rows(M, K):
+    """Equal-width blow-up of a square integer matrix to K parts by
+    indexing. Repeated rows are shared, so the result is read-only."""
+    f = K // len(M)
+    wide = [[v for v in row for _ in range(f)] for row in M]
+    return [row for row in wide for _ in range(f)]
+
+
+def _merged_diff(U, V, power):
+    """U - V on the merged breakpoints of the two partitions.
+
+    Both graphons are reduced and scaled once, each at its own size, by one
+    L. With a and b the reduced part counts and K = lcm(a, b), the merged
+    breakpoints cut [0, 1] into a + b - gcd(a, b) intervals whose integer
+    widths w are in units of 1/K. Returns (D, w, L, K) with D the scaled
+    difference on the product intervals, in int64 when the weighted sum of
+    |D|**power, at most L**power * K * K, stays below 2**63.
+    """
+    U, V = reduce_step_graphon(U), reduce_step_graphon(V)
+    A, B, L = _scale(U.values, V.values)
+    K = lcm(U.k, V.k)
+    fu, fv = K // U.k, K // V.k
+    cuts = np.array(sorted({*range(0, K, fu), *range(0, K, fv)}))
+    dtype = np.int64 if L ** power * K * K < 2 ** 63 else object
+    iu, iv = cuts // fu, cuts // fv
+    D = np.array(A, dtype=dtype)[np.ix_(iu, iu)]
+    D -= np.array(B, dtype=dtype)[np.ix_(iv, iv)]
+    w = np.diff(cuts, append=K).astype(dtype)
+    return D, w, L, K
 
 
 def d1(U, V):
     """Exact L1 distance: mean of |U - V| over the square."""
-    rows, L, K = _refined_diff(U, V)
-    total = sum(abs(e) for row in rows for e in row)
-    return Fraction(total, L * K * K)
+    D, w, L, K = _merged_diff(U, V, 1)
+    return Fraction(int(w @ np.abs(D) @ w), L * K * K)
 
 
 def d2(U, V):
     """Exact squared L2 distance: mean of (U - V)**2 over the square."""
-    rows, L, K = _refined_diff(U, V)
-    total = sum(e * e for row in rows for e in row)
-    return Fraction(total, L * L * K * K)
+    D, w, L, K = _merged_diff(U, V, 2)
+    return Fraction(int(w @ (D * D) @ w), L * L * K * K)
 
 
 def _subset_bits(lo, hi, k):
@@ -189,20 +209,23 @@ def cut_norm(F, mode="exact", exact_limit=EXACT_LIMIT, seed=0, restarts=16):
     achieves; any concrete (S, T) certifies a lower bound on the norm.
     """
     rows, K = _validate_signed(F)
-    ints, L = _scaled_rows([rows])
     refusal = (
         f"{K} parts exceeds exact limit {exact_limit}; "
         "request heuristic mode for an achievable value"
     )
-    return _mode_cut(ints, K, L, mode, exact_limit, seed, restarts, refusal)
+    return _mode_cut(
+        lambda: _scale(rows), K, mode, exact_limit, seed, restarts, refusal
+    )
 
 
-def _mode_cut(rows, K, L, mode, exact_limit, seed, restarts, refusal):
-    """Cut value of a scaled integer matrix by the requested mode; exact
-    mode raises TooManyParts(refusal) above exact_limit parts."""
+def _mode_cut(build, K, mode, exact_limit, seed, restarts, refusal):
+    """Cut value, by the requested mode, of the K x K integer matrix that
+    build() returns with its scale L. Exact mode raises
+    TooManyParts(refusal) above exact_limit parts before calling build."""
+    if mode == "exact" and K > exact_limit:
+        raise TooManyParts(refusal)
+    rows, L = build()
     if mode == "exact":
-        if K > exact_limit:
-            raise TooManyParts(refusal)
         hi, lo = _cut_extrema(np.array([rows], dtype=object))
         val = max(int(hi[0]), -int(lo[0]))
     elif mode == "heuristic":
@@ -246,8 +269,7 @@ def cut_norm_full_enumeration(F):
     cross-check the row-subset + greedy-column method.
     """
     rows, K = _validate_signed(F)
-    scaled = _scaled_rows([rows])
-    ints, L = scaled[0], scaled[1]
+    ints, L = _scale(rows)
     if K > FULL_ENUM_LIMIT:
         raise TooManyParts(f"{K} parts exceeds enumeration limit {FULL_ENUM_LIMIT}")
     m = max((abs(e) for row in ints for e in row), default=0)
@@ -264,10 +286,24 @@ def cut_norm_full_enumeration(F):
 
 
 def d_square(U, V, mode="exact", exact_limit=EXACT_LIMIT, seed=0, restarts=16):
-    """Cut distance: cut norm of U - V on the common refinement."""
-    rows, L, K = _refined_diff(U, V)
+    """Cut distance: cut norm of U - V on the common refinement.
+
+    The refinement is the equal-width one on K = lcm of the reduced part
+    counts, and exact mode refuses K > exact_limit before building it.
+    """
+    U, V = reduce_step_graphon(U), reduce_step_graphon(V)
+    K = lcm(U.k, V.k)
     refusal = f"common refinement has {K} parts, exact limit {exact_limit}"
-    return _mode_cut(rows, K, L, mode, exact_limit, seed, restarts, refusal)
+
+    def build():
+        A, B, L = _scale(U.values, V.values)
+        rows = [
+            [a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(_blow_rows(A, K), _blow_rows(B, K))
+        ]
+        return rows, L
+
+    return _mode_cut(build, K, mode, exact_limit, seed, restarts, refusal)
 
 
 def _int_arrays(A, B):
@@ -408,7 +444,10 @@ def _certified_upper(rows, K, L):
     min over: Gershgorin and trace-power bounds on the top singular value
     (|1_S D 1_T| <= sigma * K), the L1 cap, and 1. The trace of D**(2m) is
     accumulated in exact integer arithmetic from float64 powers whose
-    entries stay below 2**53.
+    entries stay below 2**53. It is taken only at the largest such m up to
+    12: for symmetric D, tr(D**(2m))**(1/2m) is the 2m-norm of the
+    eigenvalues, which does not increase with m, and neither does its
+    integer ceiling.
     """
     total_abs = sum(abs(e) for row in rows for e in row)
     d1_cap = Fraction(total_abs, L * K * K)
@@ -416,18 +455,13 @@ def _certified_upper(rows, K, L):
     maxabs = max((abs(e) for row in rows for e in row), default=0)
     if maxabs and maxabs * K * maxabs < 2 ** 53:
         Df = np.array(rows, dtype=np.float64)
-        power = Df.copy()
-        ebound = maxabs
-        m = 1
-        while True:
-            nb = ebound * K * maxabs
-            if nb >= 2 ** 53 or m >= 12:
-                break
+        power, ebound, m = Df, maxabs, 1
+        while m < 12 and ebound * K * maxabs < 2 ** 53:
             power = power @ Df
-            ebound = nb
+            ebound *= K * maxabs
             m += 1
-            tr = sum(int(v) * int(v) for v in power.ravel().tolist())
-            sigma_bound = min(sigma_bound, _iroot_ceil(tr, 2 * m))
+        tr = sum(int(v) * int(v) for v in power.ravel().tolist())
+        sigma_bound = min(sigma_bound, _iroot_ceil(tr, 2 * m))
     return min(Fraction(sigma_bound, L * K), d1_cap, Fraction(1))
 
 
@@ -596,6 +630,7 @@ def delta_bound(
         raise InputError(f"blow-up limit must be positive, got {blowup_limit}")
     U, V = reduce_step_graphon(U), reduce_step_graphon(V)
     lower = _counting_lower(U, V, lower_vertex_limit, cost_limit)
+    su, sv, L = _scale(U.values, V.values)
     rs = RandomSource(seed)
     bud = _Budget(budget)
     upper, witness = Fraction(1), None
@@ -603,9 +638,7 @@ def delta_bound(
         if m > 1 and bud.left <= 0:
             break
         K = m * lcm(U.k, V.k)
-        Ur = blow_up(U, K // U.k)
-        Vr = blow_up(V, K // V.k)
-        ru, rv, L = _scaled_rows([Ur.values, Vr.values])
+        ru, rv = _blow_rows(su, K), _blow_rows(sv, K)
         if K <= exact_refinement_limit:
             A, B = _int_arrays(ru, rv)
 

@@ -1,14 +1,3 @@
 """Shared generators for the test suite."""
 
-from fractions import Fraction
-
-from graphonlab import make_step_graphon
-
-
-def random_graphon(k, rs, den=64):
-    vals = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            v = Fraction(rs.below(den + 1), den)
-            vals[i][j] = vals[j][i] = v
-    return make_step_graphon(k, vals)
+from graphonlab.cli import _random_graphon as random_graphon  # noqa: F401

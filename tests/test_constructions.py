@@ -29,8 +29,10 @@ from graphonlab import (
     value_spectrum,
     verify_diagonal_matching,
 )
+from graphonlab import constructions
 from graphonlab.errors import (
     BlockLimitExceeded,
+    CertificateError,
     InputError,
     MalformedSpectrum,
     RenderTooLarge,
@@ -157,6 +159,20 @@ def test_white_limit_encloses_the_product_oracle():
     assert max(lo, w60 * (1 - F(1, 2 ** 60))) <= min(hi, w60)
     with pytest.raises(InputError):
         fractal_white_limit(0)
+
+
+def test_white_limit_width_check_raises(monkeypatch):
+    # a too-wide exponential bracket must fail the enclosure certificate
+    monkeypatch.setattr(constructions, "_exp_neg_interval", lambda x, d: (F(0), F(1)))
+    with pytest.raises(CertificateError):
+        fractal_white_limit(F(1, 10 ** 6))
+
+
+def test_block_pattern_check_raises(monkeypatch):
+    # levels two apart give a pattern cut distance far above 2**-a
+    monkeypatch.setattr(constructions, "level_constants", lambda e: (F(0), F(1), F(2)))
+    with pytest.raises(CertificateError):
+        halting_graphon(DEMO, 1, 1, 2)
 
 
 def test_diagonal_matching_walk_and_fault_injection():

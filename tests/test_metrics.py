@@ -1,5 +1,7 @@
 """Exact metrics: L1, L2, cut norm, alignment brackets, truncated d_w."""
 
+import time
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,6 +13,7 @@ from graphonlab import (
     DeltaBound,
     RandomSource,
     blow_up,
+    common_refinement,
     constant_graphon,
     cut_norm,
     cut_norm_full_enumeration,
@@ -25,7 +28,9 @@ from graphonlab import (
     hat_delta,
     make_step_graphon,
     permute_parts,
+    reduce_step_graphon,
 )
+from graphonlab import metrics
 from graphonlab.errors import (
     AsymmetricMatrix,
     EmptyGraph,
@@ -38,9 +43,11 @@ from graphonlab.errors import (
 from graphonlab.metrics import (
     _TABLE_CELLS,
     _all_perms_min,
+    _certified_upper,
     _cut_extrema,
     _int_arrays,
-    _scaled_rows,
+    _iroot_ceil,
+    _scale,
 )
 
 F = Fraction
@@ -214,7 +221,7 @@ def test_cut_kernel_on_all_permuted_differences():
     rs = RandomSource(21)
     K = 6
     U, V = random_graphon(K, rs), random_graphon(K, rs)
-    ru, rv, L = _scaled_rows([U.values, V.values])
+    ru, rv, L = _scale(U.values, V.values)
     A, B = _int_arrays(ru, rv)
     perms = np.array(list(permutations(range(K))))
     D = A[perms[:, :, None], perms[:, None, :]] - B
@@ -230,7 +237,7 @@ def test_all_perms_min_is_the_permutation_minimum():
     rs = RandomSource(22)
     for K in (2, 3, 4, 5):
         U, V = random_graphon(K, rs), random_graphon(K, rs)
-        ru, rv, L = _scaled_rows([U.values, V.values])
+        ru, rv, L = _scale(U.values, V.values)
         best, sigma = _all_perms_min(*_int_arrays(ru, rv))
         value = F(best, L * K * K)
         assert value == min(
@@ -266,3 +273,108 @@ def test_delta_bound_sound_past_int64_four_parts():
     db = delta_bound(U, V, lower_vertex_limit=1)
     assert db.upper == _permutation_minimum(U, V)
     assert db.upper > F(9, 10)
+
+
+def _lcm_oracle(U, V):
+    """(d1, d2) cell by cell on the lcm blow-up: each cell difference is an
+    integer over the product of the two cell denominators, summed per
+    denominator and combined in Fractions at the end."""
+    Ur, Vr = common_refinement(U, V)
+    l1, l2 = defaultdict(int), defaultdict(int)
+    for ra, rb in zip(Ur.values, Vr.values):
+        for a, b in zip(ra, rb):
+            q = a.denominator * b.denominator
+            d = a.numerator * b.denominator - b.numerator * a.denominator
+            l1[q] += abs(d)
+            l2[q * q] += d * d
+    cells = Ur.k * Ur.k
+    return (
+        sum(F(v, q) for q, v in l1.items()) / cells,
+        sum(F(v, q) for q, v in l2.items()) / cells,
+    )
+
+
+@pytest.mark.parametrize("den", [64, 2 ** 31, 2 ** 70])
+def test_d1_d2_match_the_lcm_blow_up(den):
+    rs = RandomSource(den % 1009)
+    for a, b in [(4, 6), (6, 10), (15, 16), (31, 32), (1, 7), (5, 1)]:
+        U, V = random_graphon(a, rs, den), random_graphon(b, rs, den)
+        assert (d1(U, V), d2(U, V)) == _lcm_oracle(U, V)
+    # a presentation that reduces: a blow-up against a coarser graphon
+    U, V = random_graphon(3, rs, den), random_graphon(2, rs, den)
+    assert (d1(blow_up(U, 4), V), d2(blow_up(U, 4), V)) == _lcm_oracle(U, V)
+
+
+def test_d1_on_31_against_32_parts_is_fast():
+    rs = RandomSource(31)
+    U, V = random_graphon(31, rs), random_graphon(32, rs)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        d1(U, V)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+
+
+def test_d_square_refuses_before_building(monkeypatch):
+    rs = RandomSource(32)
+    U, V = random_graphon(31, rs), random_graphon(32, rs)
+
+    def unreachable(*args):
+        raise AssertionError("refinement built before the refusal")
+
+    monkeypatch.setattr(metrics, "_scale", unreachable)
+    monkeypatch.setattr(metrics, "_blow_rows", unreachable)
+    with pytest.raises(TooManyParts) as info:
+        d_square(U, V)
+    assert str(info.value) == "common refinement has 992 parts, exact limit 20"
+
+
+def test_delta_bound_witness_replays_on_unequal_parts():
+    rs = RandomSource(33)
+    for a, b in [(2, 3), (2, 4), (3, 6), (4, 6)]:
+        U = reduce_step_graphon(random_graphon(a, rs))
+        V = reduce_step_graphon(random_graphon(b, rs))
+        db = delta_bound(U, V, lower_vertex_limit=2)
+        m, sigma = db.witness
+        K = len(sigma)
+        aligned = permute_parts(blow_up(U, K // U.k), sigma)
+        assert d_square(aligned, blow_up(V, K // V.k)) == db.upper
+        assert db.upper <= d_square(U, V)
+
+
+def _certified_upper_every_power(rows, K, L):
+    """_certified_upper as a minimum over every admissible trace power."""
+    total_abs = sum(abs(e) for row in rows for e in row)
+    d1_cap = F(total_abs, L * K * K)
+    sigma_bound = max(sum(abs(e) for e in row) for row in rows)
+    maxabs = max((abs(e) for row in rows for e in row), default=0)
+    if maxabs and maxabs * K * maxabs < 2 ** 53:
+        Df = np.array(rows, dtype=np.float64)
+        power = Df.copy()
+        ebound = maxabs
+        m = 1
+        while True:
+            nb = ebound * K * maxabs
+            if nb >= 2 ** 53 or m >= 12:
+                break
+            power = power @ Df
+            ebound = nb
+            m += 1
+            tr = sum(int(v) * int(v) for v in power.ravel().tolist())
+            sigma_bound = min(sigma_bound, _iroot_ceil(tr, 2 * m))
+    return min(F(sigma_bound, L * K), d1_cap, F(1))
+
+
+def test_certified_upper_equals_the_minimum_over_powers():
+    rs = RandomSource(34)
+    for K, span in [(2, 1), (3, 5), (5, 64), (8, 2 ** 10), (16, 2 ** 20), (24, 3)]:
+        for _ in range(10):
+            rows = [[0] * K for _ in range(K)]
+            for i in range(K):
+                for j in range(i, K):
+                    rows[i][j] = rows[j][i] = rs.below(2 * span + 1) - span
+            L = span * K
+            assert _certified_upper(rows, K, L) == _certified_upper_every_power(
+                rows, K, L
+            )

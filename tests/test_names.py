@@ -48,6 +48,7 @@ from graphonlab.errors import (
 )
 from graphonlab.names import (
     DW_THINNING_SHIFT,
+    _graph_cut_distance,
     dw_counting_constant_bound,
     thinning_schedule,
 )
@@ -281,3 +282,20 @@ def test_delta_validation_can_be_inconclusive():
     name = GraphonName(MetricTag.DELTASQUARE, build)
     verdict = validate_name_prefix(name, 4, delta_budget=50)
     assert isinstance(verdict, Inconclusive)
+
+
+def _complete_bipartite(a):
+    return finite_graph(2 * a, [(i, a + j) for i in range(a) for j in range(a)])
+
+
+def test_graph_cut_distance_zero_test_above_the_exact_limit():
+    # coprime vertex counts, lcm 28 > 20: equal as functions, so exactly 0
+    assert _graph_cut_distance(finite_graph(4, []), finite_graph(7, [])) == 0
+    # K_{3,3} and K_{5,5} both reduce to the 2-part checker; lcm 30 > 20
+    assert _graph_cut_distance(_complete_bipartite(3), _complete_bipartite(5)) == 0
+    # one edge apart on coprime counts: no exact certificate on 28 parts
+    with pytest.raises(AlignmentBudgetExceeded):
+        _graph_cut_distance(finite_graph(4, []), finite_graph(7, [(0, 1)]))
+    # past the blow-up cap the pair is refused even when equal
+    with pytest.raises(AlignmentBudgetExceeded):
+        _graph_cut_distance(finite_graph(4, []), finite_graph(7, []), blow_cap=27)
