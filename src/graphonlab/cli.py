@@ -51,12 +51,9 @@ from .formats import (
 )
 from .metrics import d1, d2, d_square, d_w_truncated, delta_bound
 from .names import (
+    TRANSFORMS,
     GraphonName,
     MetricTag,
-    name_delta_to_dw,
-    name_dw_to_delta,
-    randomfree_d1_name,
-    section_delta_to_dsquare,
     validate_name_prefix,
     weaken_name,
 )
@@ -225,26 +222,13 @@ def cmd_name_transform(args, man):
     if name.tag is not frm:
         raise InputError(f"directory is tagged {name.tag.value}, not {frm.value}")
     man.note_seed(args.seed)
-    if (frm, to) in (
-        (MetricTag.D1, MetricTag.DSQUARE),
-        (MetricTag.DSQUARE, MetricTag.DELTASQUARE),
-    ):
-        out, count = weaken_name(name, frm, to), m
-    elif (frm, to) == (MetricTag.DELTASQUARE, MetricTag.DW):
-        out, count = name_delta_to_dw(name), m
-    elif (frm, to) == (MetricTag.DW, MetricTag.DELTASQUARE):
-        # sample sizes grow as 4**(j+2); cap the materialized prefix
-        out, count = name_dw_to_delta(name, RandomSource(args.seed)), min(m, 3)
-    elif (frm, to) == (MetricTag.DELTASQUARE, MetricTag.DSQUARE):
-        out = section_delta_to_dsquare(name, align_budget=args.budget, seed=args.seed)
-        count = min(m, 3)
-    elif (frm, to) == (MetricTag.DSQUARE, MetricTag.D1):
-        # sound only for random-free limits; the command asserts the promise
-        out, count = randomfree_d1_name(name), min(m, 6)
-    else:
+    if (frm, to) not in TRANSFORMS:
         raise IllegalWeakening(
             f"no declared transform from {frm.value} to {to.value}"
         )
+    build, cap = TRANSFORMS[frm, to]
+    out = build(name, args.seed, args.budget) if build else weaken_name(name, frm, to)
+    count = m if cap is None else min(m, cap)
     elements = [out.element(j) for j in range(count)]
     write_name_dir(args.outdir, to.value, elements)
     man.note_output(args.outdir)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .core import ONE, ZERO, StepGraphon, blow_up, make_step_graphon
+from .core import ONE, ZERO, StepGraphon, common_refinement, make_step_graphon
 from .errors import (
     BlockLimitExceeded,
     CertificateError,
@@ -470,22 +469,10 @@ def rectangle_bound_probe(d, trials, rs, pool_limit=2048):
 
 def direct_sum(U, V):
     """Half-scale copies of U and V on the diagonal, zero elsewhere."""
-    half = lcm(U.k, V.k)
-    k = 2 * half
-    Ub = blow_up(U, half // U.k)
-    Vb = blow_up(V, half // V.k)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if i < half and j < half:
-                row.append(Ub.values[i][j])
-            elif i >= half and j >= half:
-                row.append(Vb.values[i - half][j - half])
-            else:
-                row.append(ZERO)
-        rows.append(tuple(row))
-    return StepGraphon(k, tuple(rows))
+    Ub, Vb = common_refinement(U, V)
+    zeros = (ZERO,) * Ub.k
+    rows = [r + zeros for r in Ub.values] + [zeros + r for r in Vb.values]
+    return StepGraphon(2 * Ub.k, tuple(rows))
 
 
 def twin_parts(W):

@@ -2,8 +2,11 @@
 
 A StepGraphon is a symmetric k x k matrix of rationals in [0,1], read as a
 function on [0,1]^2 that is constant on the product cells of the k equal-width
-parts. All operations are pure and keep every value an exact Fraction, so
-downstream metric inequalities can be tested with tolerance zero.
+parts. All operations are pure and every stored value stays an exact
+Fraction, so downstream metric inequalities can be tested with tolerance
+zero. Exact intermediates are integers over one scale L (_scale), and two
+partitions meet on their merged breakpoints (_merged_parts); stepping is
+the integer product of both.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 from .errors import (
     AsymmetricMatrix,
@@ -152,46 +157,55 @@ def reduce_step_graphon(W):
     return StepGraphon(q, rows)
 
 
-def _overlap_matrix(n_cells, k):
-    # row c, col p: length of [c/n, (c+1)/n) intersect [p/k, (p+1)/k)
-    rows = []
-    for c in range(n_cells):
-        lo, hi = Fraction(c, n_cells), Fraction(c + 1, n_cells)
-        row = []
-        for p in range(k):
-            plo, phi = Fraction(p, k), Fraction(p + 1, k)
-            row.append(max(ZERO, min(hi, phi) - max(lo, plo)))
-        rows.append(row)
-    return rows
+def _scale(*matrices):
+    """Rational matrices as integer rows over one common scale L: every
+    cell v becomes v.numerator * (L // v.denominator). Returns the scaled
+    matrices followed by L."""
+    L = lcm(*{v.denominator for M in matrices for row in M for v in row})
+    scaled = [
+        [[v.numerator * (L // v.denominator) for v in row] for row in M]
+        for M in matrices
+    ]
+    return (*scaled, L)
+
+
+def _merged_parts(a, b):
+    """Merged breakpoints of the a- and b-part equipartitions of [0, 1].
+
+    With K = lcm(a, b) they cut [0, 1] into a + b - gcd(a, b) intervals.
+    Returns (K, w, ia, ib): the integer interval widths w in units of 1/K
+    and, per interval, the index of the part holding it on each side.
+    """
+    K = lcm(a, b)
+    fa, fb = K // a, K // b
+    cuts = np.array(sorted({*range(0, K, fa), *range(0, K, fb)}))
+    return K, np.diff(cuts, append=K), cuts // fa, cuts // fb
+
 
 def stepping(W, n):
     """Average W onto the dyadic grid with 2^n cells per axis, exactly.
 
     Averaging over cells no coarser than W's own partition fixes the
-    function, so that case returns W as-is rather than a blow-up.
+    function, so that case returns W as-is rather than a blow-up. Otherwise
+    the cell sums are the integer product O (L W) O^T, with O[c, p] the
+    width of cell c's overlap with part p in units of 1/K; each is at most
+    fc * fc * L for fc = K / 2^n, which picks int64 or Python integers.
     """
     if n < 0:
         raise InputError(f"dyadic level must be nonnegative, got {n}")
     cells = 2 ** n
     if cells % W.k == 0:
         return W
-    ov = _overlap_matrix(cells, W.k)
-    # value over a cell = integral / cell area; cell area = (1/cells)^2
-    scale = Fraction(cells * cells)
-    supports = [[p for p in range(W.k) if ov[c][p]] for c in range(cells)]
-    rows = []
-    for a in range(cells):
-        row = []
-        for b in range(cells):
-            acc = ZERO
-            for p in supports[a]:
-                wp = W.values[p]
-                ova = ov[a][p]
-                for q in supports[b]:
-                    acc += ova * ov[b][q] * wp[q]
-            row.append(acc * scale)
-        rows.append(tuple(row))
-    return StepGraphon(cells, tuple(rows))
+    M, L = _scale(W.values)
+    K, w, ic, ip = _merged_parts(cells, W.k)
+    fc = K // cells
+    dtype = np.int64 if fc * fc * L < 2 ** 63 else object
+    O = np.zeros((cells, W.k), dtype=dtype)
+    O[ic, ip] = w.astype(dtype)
+    S = (O @ np.array(M, dtype=dtype) @ O.T).tolist()
+    den = L * fc * fc
+    rows = tuple(tuple(Fraction(v, den) for v in row) for row in S)
+    return StepGraphon(cells, rows)
 
 
 def permute_parts(W, sigma):

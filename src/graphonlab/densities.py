@@ -33,11 +33,11 @@ import string
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 import numpy as np
 
-from .core import finite_graph, reduce_step_graphon, vertex_pairs
+from .core import _scale, finite_graph, reduce_step_graphon, vertex_pairs
 from .errors import InputError, TooExpensive
 from .sampling import RandomSource, sample_graph
 
@@ -102,8 +102,7 @@ def _class_key(n, mask):
 def _scaled_factors(F, W):
     # integer matrices L*W and L*(1-W) plus the common denominator L; they
     # depend on W only
-    L = lcm(*{v.denominator for row in W.values for v in row})
-    w = [[v.numerator * (L // v.denominator) for v in row] for row in W.values]
+    w, L = _scale(W.values)
     c = [[L - e for e in row] for row in w]
     return w, c, L
 

@@ -12,8 +12,10 @@ import os
 import re
 from fractions import Fraction
 
+import numpy as np
+
 from .core import FiniteGraph, StepGraphon, finite_graph, make_step_graphon
-from .errors import FormatError
+from .errors import FormatError, InputError, RenderTooLarge
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+)(?:\.(\d{1,18}))?$")
 _RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
@@ -174,6 +176,11 @@ def write_name_dir(path, tag, elements):
         filenames.append(fname)
     with open(os.path.join(path, MANIFEST_NAME), "w", encoding="ascii") as fh:
         fh.write("\n".join([tag] + filenames) + "\n")
+    # elements of an earlier, longer prefix would stay behind and enter the
+    # directory hash
+    for fname in set(os.listdir(path)) - set(filenames):
+        if fname.startswith("elem_") and fname.endswith((".sg", ".g")):
+            os.remove(os.path.join(path, fname))
 
 
 def read_name_dir(path):
@@ -198,34 +205,36 @@ def read_name_dir(path):
     return tag, loaders
 
 
+PGM_RESOLUTION_LIMIT = 4096
+
+
 def render_pgm(W, resolution):
     """8-bit binary PGM; pixel = round(255*(1-value)), so value 1 is black.
 
     Row r of the image covers y in [r/res, (r+1)/res); origin top-left.
+    Resolutions above PGM_RESOLUTION_LIMIT per side are refused before any
+    pixel is allocated.
     """
-    from .errors import InputError
-
+    if resolution > PGM_RESOLUTION_LIMIT:
+        raise RenderTooLarge(
+            f"resolution {resolution} above the limit {PGM_RESOLUTION_LIMIT}"
+        )
     if resolution < W.k:
         raise InputError(f"resolution {resolution} below part count {W.k}")
     header = f"P5\n{resolution} {resolution}\n255\n".encode("ascii")
     half = Fraction(1, 2)
-    # pixel centers; round half up via floor(x + 1/2)
-    idx = [min(int(Fraction(2 * c + 1, 2 * resolution) * W.k), W.k - 1)
-           for c in range(resolution)]
-    shades = {}
-    body = bytearray()
-    for r in range(resolution):
-        wrow = W.values[idx[r]]
-        for c in range(resolution):
-            v = wrow[idx[c]]
-            shade = shades.get(v)
-            if shade is None:
-                shade = int(255 * (1 - v) + half)
-                shades[v] = shade
-            body.append(shade)
-    return header + bytes(body)
+    # round half up via floor(x + 1/2); the pixel center (2c+1)/(2 res)
+    # lies in part floor((2c+1) k / (2 res))
+    shades = np.array(
+        [[int(255 * (1 - v) + half) for v in row] for row in W.values],
+        dtype=np.uint8,
+    )
+    centers = 2 * np.arange(resolution) + 1
+    idx = np.minimum(centers * W.k // (2 * resolution), W.k - 1)
+    return header + shades[np.ix_(idx, idx)].tobytes()
 
 
 def write_pgm(path, W, resolution):
+    data = render_pgm(W, resolution)
     with open(path, "wb") as fh:
-        fh.write(render_pgm(W, resolution))
+        fh.write(data)

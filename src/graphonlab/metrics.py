@@ -33,7 +33,7 @@ from math import comb, factorial, lcm
 
 import numpy as np
 
-from .core import adjacency_rows, reduce_step_graphon
+from .core import _merged_parts, _scale, adjacency_rows, reduce_step_graphon
 from .densities import COST_LIMIT, _t_ind_many, enumerate_graph
 from .errors import (
     AsymmetricMatrix,
@@ -72,18 +72,6 @@ class DeltaBound:
             raise InputError(f"lower {self.lower} exceeds upper {self.upper}")
 
 
-def _scale(*matrices):
-    """Rational matrices as integer rows over one common scale L: every
-    cell v becomes v.numerator * (L // v.denominator). Returns the scaled
-    matrices followed by L."""
-    L = lcm(*{v.denominator for M in matrices for row in M for v in row})
-    scaled = [
-        [[v.numerator * (L // v.denominator) for v in row] for row in M]
-        for M in matrices
-    ]
-    return (*scaled, L)
-
-
 def _blow_rows(M, K):
     """Equal-width blow-up of a square integer matrix to K parts by
     indexing. Repeated rows are shared, so the result is read-only."""
@@ -104,15 +92,11 @@ def _merged_diff(U, V, power):
     """
     U, V = reduce_step_graphon(U), reduce_step_graphon(V)
     A, B, L = _scale(U.values, V.values)
-    K = lcm(U.k, V.k)
-    fu, fv = K // U.k, K // V.k
-    cuts = np.array(sorted({*range(0, K, fu), *range(0, K, fv)}))
+    K, w, iu, iv = _merged_parts(U.k, V.k)
     dtype = np.int64 if L ** power * K * K < 2 ** 63 else object
-    iu, iv = cuts // fu, cuts // fv
     D = np.array(A, dtype=dtype)[np.ix_(iu, iu)]
     D -= np.array(B, dtype=dtype)[np.ix_(iv, iv)]
-    w = np.diff(cuts, append=K).astype(dtype)
-    return D, w, L, K
+    return D, w.astype(dtype), L, K
 
 
 def d1(U, V):

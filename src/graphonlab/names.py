@@ -17,6 +17,7 @@ from math import comb, lcm
 
 from .core import (
     FiniteGraph,
+    _scale,
     finite_graph,
     graphon_of_graph,
     stepping,
@@ -70,20 +71,19 @@ def constant_name(W, tag):
     return GraphonName(tag, lambda j: W)
 
 
-def _d1_level(W, eps):
-    """Smallest dyadic level whose averaging is within eps of W in d1."""
+def _d1_averaging(W, eps):
+    """Dyadic averaging of W at the smallest level within eps of W in d1."""
     for n in range(0, 40):
-        if d1(stepping(W, n), W) <= eps:
-            return n
+        S = stepping(W, n)
+        if d1(S, W) <= eps:
+            return S
     raise NonConvergence(f"dyadic averaging does not reach {eps} by level 40")
 
 
 def canonical_name(U, tag=MetricTag.D1):
     """Name of a step graphon by its own dyadic averagings, one per level,
     each within 2**-(j+1) of U in d1 (hence valid under every weaker tag)."""
-    return GraphonName(
-        tag, lambda j: stepping(U, _d1_level(U, Fraction(1, 2 ** (j + 1))))
-    )
+    return GraphonName(tag, lambda j: _d1_averaging(U, Fraction(1, 2 ** (j + 1))))
 
 
 @dataclass(frozen=True)
@@ -158,17 +158,11 @@ def validate_name_prefix(
     return pending if pending is not None else Ok()
 
 
-_WEAKENINGS = {
-    (MetricTag.D1, MetricTag.DSQUARE),
-    (MetricTag.DSQUARE, MetricTag.DELTASQUARE),
-}
-
-
 def weaken_name(name, frm, to):
     """Retag along a declared weakening; the element sequence is shared."""
     if name.tag is not frm:
         raise InputError(f"name is tagged {name.tag}, not {frm}")
-    if (frm, to) not in _WEAKENINGS:
+    if (frm, to) not in TRANSFORMS or TRANSFORMS[frm, to][0] is not None:
         raise IllegalWeakening(f"{frm.value} does not weaken to {to.value}")
     return GraphonName(to, name.element)
 
@@ -242,7 +236,7 @@ def _graphify(W):
             (i, j) for i in range(k) for j in range(i + 1, k) if W.values[i][j] == 1
         ]
         return finite_graph(k, edges)
-    b = lcm(*(v.denominator for row in W.values for v in row))
+    ws, b = _scale(W.values)
     # resolution floor keeps the diagonal rounding error 2/R below 1/8
     R = 2 * b * max(1, -(-8 // b))
     n = k * R
@@ -251,7 +245,7 @@ def _graphify(W):
         i, j = x // R, y // R
         a, c = x % R, y % R
         d = (a - c) % R
-        w = int(W.values[i][j] * R)
+        w = ws[i][j] * (R // b)
         if i != j:
             return d < w
         # loop-free diagonal bands cap at density (R-2)/R; rounding error
@@ -539,6 +533,24 @@ def d1_name_with_ground_truth(name, truth):
             raise TruthMismatch(
                 f"element {j} sits {gap} from the claimed limit, above 2**-{j}"
             )
-        return stepping(truth, _d1_level(truth, Fraction(1, 2 ** (j + 1))))
+        return _d1_averaging(truth, Fraction(1, 2 ** (j + 1)))
 
     return GraphonName(MetricTag.D1, build)
+
+
+# Declared name transforms: (from, to) -> (builder, prefix cap). A builder
+# maps (name, seed, budget) to the new name; None marks a pure retag along a
+# weakening (weaken_name). The cap bounds how many elements a materialized
+# transform writes; None keeps the whole input prefix.
+TRANSFORMS = {
+    (MetricTag.D1, MetricTag.DSQUARE): (None, None),
+    (MetricTag.DSQUARE, MetricTag.DELTASQUARE): (None, None),
+    (MetricTag.DELTASQUARE, MetricTag.DW): (lambda nm, *_: name_delta_to_dw(nm), None),
+    # sample sizes grow as 4**(j+2)
+    (MetricTag.DW, MetricTag.DELTASQUARE): (lambda nm, s, _: name_dw_to_delta(nm, s), 3),
+    (MetricTag.DELTASQUARE, MetricTag.DSQUARE): (
+        lambda nm, s, b: section_delta_to_dsquare(nm, align_budget=b, seed=s), 3
+    ),
+    # sound only for random-free limits; the command asserts the promise
+    (MetricTag.DSQUARE, MetricTag.D1): (lambda nm, *_: randomfree_d1_name(nm), 6),
+}

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 from graphonlab import constant_graphon, finite_graph
+from graphonlab.cli import _hash_path
 from graphonlab.formats import read_name_dir, write_graph, write_name_dir, write_step_graphon
 
 FRACTAL3_PGM64_SHA = "ef883c4c1ad70d8dee204c5dca3d15418e02a65212338e35f07ddeb371c867e1"
@@ -194,3 +195,28 @@ def test_render_pgm_frozen_images(tmp_path):
     out2 = tmp_path / "w2.pgm"
     run("render-pgm", w2, "-r", 32, "-o", out2)
     assert hashlib.sha256(out2.read_bytes()).hexdigest() == FRACTAL2_PGM32_SHA
+
+
+def test_render_pgm_resolution_limit(tmp_path):
+    w = tmp_path / "half.sg"
+    write_step_graphon(w, constant_graphon(Fraction(1, 2)))
+    out = tmp_path / "big.pgm"
+    r = run("render-pgm", w, "-r", 4097, "-o", out)
+    assert r.returncode == 2
+    assert "limit 4096" in r.stderr
+    assert not out.exists()
+    r = run("render-pgm", w, "-r", 4096, "-o", out)
+    assert r.returncode == 0
+    assert out.stat().st_size == len(b"P5\n4096 4096\n255\n") + 4096 * 4096
+
+
+def test_name_dir_rewrite_drops_stale_elements(tmp_path):
+    elems = [constant_graphon(Fraction(i, 4)) for i in range(4)]
+    d, fresh = tmp_path / "d", tmp_path / "fresh"
+    write_name_dir(d, "d1", elems)
+    write_name_dir(d, "d1", elems[:2])
+    write_name_dir(fresh, "d1", elems[:2])
+    names = {"manifest.txt", "elem_000.sg", "elem_001.sg"}
+    assert {p.name for p in d.iterdir()} == names
+    assert len(read_name_dir(d)[1]) == 2
+    assert _hash_path(d) == _hash_path(fresh)

@@ -1,5 +1,7 @@
 """Halting encodings, value spectra, and the diagonal-fill fractal."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -173,6 +175,50 @@ def test_block_pattern_check_raises(monkeypatch):
     monkeypatch.setattr(constructions, "level_constants", lambda e: (F(0), F(1), F(2)))
     with pytest.raises(CertificateError):
         halting_graphon(DEMO, 1, 1, 2)
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from fractions import Fraction as F
+from graphonlab import constructions
+from graphonlab.errors import CertificateError
+
+if __debug__:
+    sys.exit("assertions are enabled")
+
+
+def raises(patch, value, call):
+    saved = getattr(constructions, patch)
+    setattr(constructions, patch, value)
+    try:
+        call()
+    except CertificateError:
+        return True
+    finally:
+        setattr(constructions, patch, saved)
+    return False
+
+
+print(
+    raises("_exp_neg_interval", lambda x, d: (F(0), F(1)),
+           lambda: constructions.fractal_white_limit(F(1, 10 ** 6))),
+    raises("level_constants", lambda e: (F(0), F(1), F(2)),
+           lambda: constructions.halting_graphon(
+               constructions.HaltingTable({0: 3, 2: 7}), 1, 1, 2)),
+)
+"""
+
+
+def test_certificate_checks_survive_optimized_mode():
+    # the two fault injections above, rerun under python -O, which strips
+    # assert statements
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True", "True"]
 
 
 def test_diagonal_matching_walk_and_fault_injection():

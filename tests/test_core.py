@@ -1,6 +1,7 @@
 """Step graphon container, blow-ups, dyadic averaging, reduction."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -143,12 +144,24 @@ def _stepping_oracle(W, n):
 
 def test_stepping_matches_interval_overlap_oracle():
     rs = RandomSource(4)
-    for k in (3, 5, 6):
-        W = random_graphon(k, rs)
-        for n in (1, 2):
-            S = stepping(W, n)
-            assert S.k == 2 ** n
-            assert [list(row) for row in S.values] == _stepping_oracle(W, n)
+    base = random_graphon(2, rs)
+    # a non-reduced blow-up keeps its 2**n cells instead of passing its
+    # 2-part base through
+    cases = [(blow_up(base, 3), n, None) for n in (1, 2, 3)]
+    for den in (64, 2 ** 70):
+        for k in (3, 5, 6, 7, 12):
+            W = random_graphon(k, rs, den)
+            cases += [(W, n, den) for n in range(5)]
+    for W, n, den in cases:
+        if den is not None:
+            # cell sums are at most fc * fc * L: int64 below 2**63,
+            # Python integers above
+            L = lcm(*(v.denominator for row in W.values for v in row))
+            fc = lcm(2 ** n, W.k) // 2 ** n
+            assert (fc * fc * L < 2 ** 63) == (den == 64)
+        S = stepping(W, n)
+        assert S.k == 2 ** n
+        assert [list(row) for row in S.values] == _stepping_oracle(W, n)
 
 
 def test_stepping_level_zero_is_average():
