@@ -21,7 +21,11 @@ candidate searches (_heuristic_cut, _profile_perms), whose picks are scored
 exactly.
 
 Alignment distances (hat_delta, delta_bound) report two-sided DeltaBound
-results and never claim the infimum itself.
+results and never claim the infimum itself. Short of full permutation
+enumeration both run one search, _align: the identity and sorted-profile
+candidates, then steepest descent over transpositions, all scored by exact
+cuts. Above EXACT_LIMIT parts (vertices, for hat_delta) candidates are
+scored by _certified_upper instead, with no descent and no witness.
 """
 
 from __future__ import annotations
@@ -370,44 +374,83 @@ def hat_delta(G, H, mode="exact", budget=2000, seed=0, restarts=16):
     """Alignment cut distance between two graphs on the same vertex count.
 
     Exact mode enumerates all |V|! permutations (|V| <= 8 only) and returns
-    lower = upper = the minimum. Heuristic mode runs steepest descent over
-    transpositions with seeded restarts; the result is an achieved upper
-    bound with witness, and lower is 0.
+    lower = upper = the minimum. Heuristic mode is the alignment search of
+    delta_bound on the adjacency rows (_row_delta); its upper bound has a
+    witness through EXACT_LIMIT vertices and is a certified bound without
+    one above, and lower is 0.
     """
     if G.n != H.n:
         raise SizeMismatch(f"vertex counts differ: {G.n} vs {H.n}")
-    n = G.n
-    if n == 0:
+    if G.n == 0:
         raise EmptyGraph("alignment distance needs at least one vertex")
+    if mode == "exact" and G.n > HAT_EXACT_LIMIT:
+        raise ExactTooLarge(
+            f"{G.n}! permutations exceed the exact limit ({HAT_EXACT_LIMIT}!)"
+        )
+    if mode not in ("exact", "heuristic"):
+        raise InputError(f"unknown mode {mode!r}")
     AG, AH = adjacency_rows(G), adjacency_rows(H)
-    if mode == "exact":
-        if n > HAT_EXACT_LIMIT:
-            raise ExactTooLarge(
-                f"{n}! permutations exceed the exact limit ({HAT_EXACT_LIMIT}!)"
-            )
-        if n == 1:
-            return DeltaBound(Fraction(0), Fraction(0), (1, (0,)))
+    return _row_delta(AG, AH, mode == "exact", budget, seed, restarts)
+
+
+def _row_delta(AG, AH, exact, budget, seed, restarts=16):
+    """hat_delta on two n x n 0/1 adjacency row lists. The heuristic scores
+    the identity free of budget and charges the canonical start, equal to
+    the identity or not."""
+    n = len(AG)
+    if exact:
         best, sigma = _all_perms_min(*_int_arrays(AG, AH))
         val = Fraction(best, n * n)
         return DeltaBound(val, val, (1, sigma))
-    if mode != "heuristic":
-        raise InputError(f"unknown mode {mode!r}")
-    A, B = _int_arrays(AG, AH)
+    val, sigma = _align(
+        AG, AH, 1, _Budget(budget), RandomSource(seed), restarts, EXACT_LIMIT,
+        cap=1, free=1,
+    )
+    return DeltaBound(Fraction(0), val, None if sigma is None else (1, sigma))
 
-    def evaluate(sigma):
-        return Fraction(int(_aligned_cuts(A, B, np.array([sigma]))[0]), n * n)
 
-    bud = _Budget(budget)
-    rs = RandomSource(seed)
-    start = _canonical_perms(AG, AH, n, cap=1)[0]
-    cand = [(evaluate(tuple(range(n))), tuple(range(n)))]
-    if bud.take():
-        cand.append((evaluate(start), start))
-    base_val, base_sigma = min(cand)
-    val, sigma = _descent(evaluate, base_sigma, n, bud, rs, restarts)
-    if base_val < val:
-        val, sigma = base_val, base_sigma
-    return DeltaBound(Fraction(0), val, (1, sigma))
+def _align(ru, rv, L, bud, rs, restarts, limit, cap, free=0):
+    """The alignment search: best (value, sigma) over alignments of the
+    K x K scaled rows ru onto rv, or (None, None) if none was scored.
+
+    The candidates are the identity, then the sorted-profile matches
+    (_canonical_perms under cap). The first `free` candidates cost no
+    budget; the rest are deduplicated and cost one unit each. Up to `limit`
+    parts every candidate is scored by its exact cut distance and steepest
+    descent runs from the first best one. Above it the matches are taken
+    under cap 1, the profile-group fits are added, and every candidate is
+    scored by _certified_upper with no descent; sigma is then None, since
+    the value is a certified bound and not the cut distance of a witness.
+    """
+    K = len(ru)
+    certified = K > limit
+    cands = [tuple(range(K))]
+    cands += _canonical_perms(ru, rv, K, 1 if certified else cap)
+    if certified:
+        cands += _profile_perms(ru, rv, K)
+
+        def score(sigma):
+            rows = [[ru[sigma[i]][sigma[j]] - rv[i][j] for j in range(K)]
+                    for i in range(K)]
+            return _certified_upper(rows, K, L)
+    else:
+        A, B = _int_arrays(ru, rv)
+
+        def score(sigma):
+            cut = _aligned_cuts(A, B, np.array([sigma]))[0]
+            return Fraction(int(cut), L * K * K)
+
+    best_val = best_sigma = None
+    cands = cands[:free] + list(dict.fromkeys(cands[free:]))
+    for i, sigma in enumerate(cands):
+        if i >= free and not bud.take():
+            break
+        v = score(sigma)
+        if best_val is None or v < best_val:
+            best_val, best_sigma = v, sigma
+    if best_val is None or certified:
+        return best_val, None
+    return _descent(score, best_sigma, K, bud, rs, restarts)
 
 
 def _iroot_ceil(x, r):
@@ -606,7 +649,7 @@ def delta_bound(
     best aligned cut distance found within the candidate budget: on common
     refinements of at most exact_refinement_limit parts every evaluation is
     an exact cut norm (full permutation enumeration when the budget covers
-    K!, otherwise sorted-profile matching plus steepest descent); on larger
+    K!, otherwise the search _align shared with hat_delta); on larger
     refinements candidates are scored with certified spectral and L1 upper
     bounds, so the bracket stays valid but carries no witness.
     """
@@ -623,52 +666,17 @@ def delta_bound(
             break
         K = m * lcm(U.k, V.k)
         ru, rv = _blow_rows(su, K), _blow_rows(sv, K)
-        if K <= exact_refinement_limit:
-            A, B = _int_arrays(ru, rv)
-
-            def evaluate(sigma, A=A, B=B, scale=L * K * K):
-                cut = _aligned_cuts(A, B, np.array([sigma]))[0]
-                return Fraction(int(cut), scale)
-
-            if factorial(K) <= bud.left:
-                bud.take(factorial(K))
-                best_int, sigma = _all_perms_min(A, B)
-                val = Fraction(best_int, L * K * K)
-                if val < upper:
-                    upper, witness = val, (m, sigma)
-                continue
-            cands = [tuple(range(K))]
-            cands += _canonical_perms(ru, rv, K, cap=min(720, bud.left))
-            best_val, best_sigma = None, None
-            for sigma in dict.fromkeys(cands):
-                if not bud.take():
-                    break
-                v = evaluate(sigma)
-                if best_val is None or v < best_val:
-                    best_val, best_sigma = v, sigma
-            if best_val is None:
-                continue
-            val, sigma = _descent(
-                evaluate, best_sigma, K, bud, rs, restarts=3
-            )
-            if best_val < val:
-                val, sigma = best_val, best_sigma
-            if val < upper:
-                upper, witness = val, (m, sigma)
+        if K <= exact_refinement_limit and factorial(K) <= bud.left:
+            bud.take(factorial(K))
+            best_int, sigma = _all_perms_min(*_int_arrays(ru, rv))
+            val = Fraction(best_int, L * K * K)
         else:
-            cands = [tuple(range(K))]
-            cands += _canonical_perms(ru, rv, K, cap=1)
-            cands += _profile_perms(ru, rv, K)
-            for sigma in dict.fromkeys(cands):
-                if not bud.take():
-                    break
-                rows = [
-                    [ru[sigma[i]][sigma[j]] - rv[i][j] for j in range(K)]
-                    for i in range(K)
-                ]
-                val = _certified_upper(rows, K, L)
-                if val < upper:
-                    upper, witness = val, None
+            cap = min(720, bud.left)
+            val, sigma = _align(
+                ru, rv, L, bud, rs, 3, exact_refinement_limit, cap
+            )
+        if val is not None and val < upper:
+            upper, witness = val, None if sigma is None else (m, sigma)
     return DeltaBound(lower, upper, witness)
 
 

@@ -18,9 +18,11 @@ from math import comb, lcm
 from .core import (
     FiniteGraph,
     _scale,
+    adjacency_rows,
     finite_graph,
     graphon_of_graph,
     stepping,
+    vertex_pairs,
 )
 from .errors import (
     AlignmentBudgetExceeded,
@@ -30,12 +32,14 @@ from .errors import (
     TruthMismatch,
 )
 from .metrics import (
+    EXACT_LIMIT,
     HAT_EXACT_LIMIT,
+    _blow_rows,
+    _row_delta,
     d1,
     d_square,
     d_w_truncated,
     delta_bound,
-    hat_delta,
 )
 from .sampling import RandomSource, empirical_graphon
 
@@ -222,20 +226,17 @@ def name_dw_to_delta(name, rs):
 
 
 def _graphify(W):
-    """Present a rational step graphon as a finite graph with the same
-    block densities: banded bipartite blocks off the diagonal, symmetric
-    circulant bands inside it. 0/1 graphons with a zero diagonal pass
-    through as plain graphs."""
+    """Present a rational step graphon as the 0/1 adjacency rows of a finite
+    graph with the same block densities: banded bipartite blocks off the
+    diagonal, symmetric circulant bands inside it. 0/1 graphons with a zero
+    diagonal pass through as plain graphs."""
     k = W.k
     if all(
         W.values[i][j] in (0, 1) and (i != j or W.values[i][j] == 0)
         for i in range(k)
         for j in range(k)
     ):
-        edges = [
-            (i, j) for i in range(k) for j in range(i + 1, k) if W.values[i][j] == 1
-        ]
-        return finite_graph(k, edges)
+        return [[int(v) for v in row] for row in W.values]
     ws, b = _scale(W.values)
     # resolution floor keeps the diagonal rounding error 2/R below 1/8
     R = 2 * b * max(1, -(-8 // b))
@@ -253,87 +254,38 @@ def _graphify(W):
         h = min(w, R - 2) // 2
         return d != 0 and (d <= h or d >= R - h)
 
-    edges = [(x, y) for x in range(n) for y in range(x + 1, n) if edge(x, y)]
-    return finite_graph(n, edges)
+    rows = [[0] * n for _ in range(n)]
+    for x, y in vertex_pairs(n):
+        if edge(x, y):
+            rows[x][y] = rows[y][x] = 1
+    return rows
 
 
-def _blow_graph(G, m):
-    if m < 1:
-        raise InputError(f"blow-up factor must be positive, got {m}")
-    if m == 1:
-        return G
-    n = G.n * m
-    edges = [
-        (v * m + i, w * m + j)
-        for v in range(G.n)
-        for w in range(v + 1, G.n)
-        if G.has_edge(v, w)
-        for i in range(m)
-        for j in range(m)
-    ]
-    return finite_graph(n, edges)
-
-
-def _relabel_graph(G, sigma):
-    edges = [
-        tuple(sorted((x, y)))
-        for x in range(G.n)
-        for y in range(x + 1, G.n)
-        if G.has_edge(sigma[x], sigma[y])
-    ]
-    return finite_graph(G.n, edges)
-
-
-def _neighbor_keys(G):
-    return [
-        frozenset(w for w in range(G.n) if G.has_edge(v, w)) for v in range(G.n)
-    ]
-
-
-def _collapse_contiguous(G):
-    """Quotient consecutive equal-size twin classes; the labeled graphon is
-    unchanged, being its own uniform blow-up."""
-    while True:
-        keys = _neighbor_keys(G)
-        classes = []
-        for v in range(G.n):
-            if classes and keys[v] == keys[classes[-1][0]]:
-                classes[-1].append(v)
-            else:
-                classes.append([v])
-        sizes = {len(c) for c in classes}
-        if len(sizes) != 1 or sizes == {1}:
-            return G
-        m = sizes.pop()
-        q = len(classes)
-        edges = [
-            (a, b)
-            for a in range(q)
-            for b in range(a + 1, q)
-            if G.has_edge(classes[a][0], classes[b][0])
-        ]
-        G = finite_graph(q, edges)
-
-
-def _reduce_presentation(G):
-    """Collapse scattered equal-size twin classes, reordering by least
-    member; only used before alignment, which reorders anyway."""
-    keys = _neighbor_keys(G)
-    groups = {}
-    for v in range(G.n):
-        groups.setdefault(keys[v], []).append(v)
-    classes = sorted(groups.values(), key=min)
-    sizes = {len(c) for c in classes}
+def _quotient(rows, contiguous):
+    """Quotient of symmetric 0/1 rows by their classes of equal rows (for a
+    zero diagonal, vertices with equal neighbour sets) when all classes
+    have one size above 1. With contiguous, classes are maximal runs of
+    consecutive rows, so the labeled graphon is unchanged, being its own
+    uniform blow-up; otherwise they are scattered and ordered by least
+    member, which only alignment, reordering anyway, may use. One pass
+    reaches the fixed point: by symmetry, rows that differ still differ on
+    the class representatives, so no two quotient classes merge."""
+    classes = {}
+    run = 0
+    for i, row in enumerate(rows):
+        if contiguous and i and row != rows[i - 1]:
+            run += 1
+        classes.setdefault((run, tuple(row)), []).append(i)
+    sizes = {len(c) for c in classes.values()}
     if len(sizes) != 1 or sizes == {1}:
-        return G
-    q = len(classes)
-    edges = [
-        (a, b)
-        for a in range(q)
-        for b in range(a + 1, q)
-        if G.has_edge(classes[a][0], classes[b][0])
-    ]
-    return _reduce_presentation(finite_graph(q, edges))
+        return rows
+    reps = [c[0] for c in classes.values()]
+    return [[rows[a][b] for b in reps] for a in reps]
+
+
+def _graph(rows):
+    n = len(rows)
+    return finite_graph(n, [(i, j) for i, j in vertex_pairs(n) if rows[i][j]])
 
 
 def _graph_cut_distance(G, H, exact_part_limit=20, blow_cap=4096):
@@ -363,12 +315,15 @@ def section_delta_to_dsquare(name, align_budget=2000, seed=0):
     """Convert an alignment-metric name of graph presentations into a
     cut-norm name by iterated aligning.
 
-    Stage n reads input index 2**(2n) + 1, reduces it to a graph, aligns
-    it to the previous stage on a common blow-up (exhaustive through 8
-    vertices, descent beyond), and emits it only with an exact cut-norm
-    certificate <= 45 * 2**-(n-1) to its predecessor. Output element j is
-    stage j + 7, so the certified chain tail 90 * 2**-(j+7) sits inside
-    the 2**-j rate. The stages themselves are exposed as name.stages.
+    Stage n reads input index 2**(2n) + 1, presents it as the 0/1
+    adjacency rows of a graph with its twin classes quotiented, aligns it
+    to the previous stage on a common blow-up with hat_delta's search
+    (exhaustive through 8 vertices, descent through EXACT_LIMIT; a larger
+    blow-up is refused, since the search has no witness there), and emits
+    it only with an exact cut-norm certificate <= 45 * 2**-(n-1) to its
+    predecessor. Output element j is stage j + 7, so the certified chain
+    tail 90 * 2**-(j+7) sits inside the 2**-j rate. The stages themselves
+    are exposed as name.stages; only their graphs are FiniteGraphs.
     """
     stages = []
 
@@ -377,23 +332,27 @@ def section_delta_to_dsquare(name, align_budget=2000, seed=0):
             raise InputError(f"stage index must be nonnegative, got {n}")
         while len(stages) <= n:
             m = len(stages)
+            H = _quotient(_graphify(name.element(2 ** (2 * m) + 1)), False)
             if m == 0:
-                G0 = _reduce_presentation(_graphify(name.element(2)))
-                stages.append(SectionStage(G0, Fraction(0)))
+                stages.append(SectionStage(_graph(H), Fraction(0)))
                 continue
             prev = stages[m - 1].graph
-            H = _reduce_presentation(_graphify(name.element(2 ** (2 * m) + 1)))
-            L = lcm(prev.n, H.n)
-            Hb = _blow_graph(H, L // H.n)
-            Gb = _blow_graph(prev, L // prev.n)
-            if L <= HAT_EXACT_LIMIT:
-                db = hat_delta(Hb, Gb, mode="exact")
-            else:
-                db = hat_delta(
-                    Hb, Gb, mode="heuristic", budget=align_budget,
-                    seed=seed + m,
+            L = lcm(prev.n, len(H))
+            if L > EXACT_LIMIT:
+                # the alignment search has no witness above EXACT_LIMIT
+                raise AlignmentBudgetExceeded(
+                    f"stage {m} aligns on {L} vertices, "
+                    f"exact limit {EXACT_LIMIT}"
                 )
-            aligned = _collapse_contiguous(_relabel_graph(Hb, db.witness[1]))
+            Hb = _blow_rows(H, L)
+            db = _row_delta(
+                Hb, _blow_rows(adjacency_rows(prev), L), L <= HAT_EXACT_LIMIT,
+                align_budget, seed + m,
+            )
+            sigma = db.witness[1]
+            aligned = _graph(
+                _quotient([[Hb[i][j] for j in sigma] for i in sigma], True)
+            )
             cert = _graph_cut_distance(aligned, prev)
             threshold = Fraction(45, 2 ** (m - 1))
             if cert > threshold:

@@ -1,13 +1,21 @@
 """End-to-end command checks are subprocess-based so exit codes and
-stream separation are exercised exactly as a shell user sees them."""
+stream separation are exercised exactly as a shell user sees them; a check
+that replaces a kernel with a stub calls cli.main in process instead."""
 
 import hashlib
 import subprocess
 import sys
 from fractions import Fraction
 
-from graphonlab import constant_graphon, finite_graph
-from graphonlab.cli import _hash_path
+from graphonlab import (
+    RandomSource,
+    constant_graphon,
+    empirical_graphon,
+    finite_graph,
+    make_step_graphon,
+    metrics,
+)
+from graphonlab.cli import _hash_path, main
 from graphonlab.formats import read_name_dir, write_graph, write_name_dir, write_step_graphon
 
 FRACTAL3_PGM64_SHA = "ef883c4c1ad70d8dee204c5dca3d15418e02a65212338e35f07ddeb371c867e1"
@@ -220,3 +228,51 @@ def test_name_dir_rewrite_drops_stale_elements(tmp_path):
     assert {p.name for p in d.iterdir()} == names
     assert len(read_name_dir(d)[1]) == 2
     assert _hash_path(d) == _hash_path(fresh)
+
+
+def test_failed_run_still_writes_its_manifest(tmp_path):
+    w = tmp_path / "half.sg"
+    write_step_graphon(w, constant_graphon(Fraction(1, 2)))
+    m = tmp_path / "m.txt"
+    r = run("--manifest", m, "render-pgm", w, "-r", 4097, "-o", tmp_path / "x.pgm")
+    assert r.returncode == 2
+    lines = m.read_text().splitlines()
+    assert lines[0].startswith("command: graphonlab --manifest")
+    assert "error: RenderTooLarge" in lines
+    assert lines[-1].startswith("wall_time_s:")
+
+
+def test_directory_hash_separates_names_from_contents(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "a").write_bytes(b"bc")
+    (b / "ab").write_bytes(b"c")
+    assert _hash_path(a) != _hash_path(b)
+
+
+def test_section_transform_refuses_large_alignments_without_exact_cuts(
+    tmp_path, monkeypatch, capsys
+):
+    # empirical elements on 2, 4, 16 and 32 vertices: stage 1 would align
+    # the 16- and 32-vertex elements on 32 vertices, past the exact limit
+    two_part = make_step_graphon(
+        2, [[Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 4)]]
+    )
+    elems = [
+        empirical_graphon(two_part, n, RandomSource(n)) for n in (2, 4, 16, 32)
+    ]
+    src, out = tmp_path / "in", tmp_path / "out"
+    write_name_dir(src, "deltasquare", elems)
+    kernel = metrics._cut_extrema
+
+    def small_cuts_only(D):
+        if D.shape[-1] > metrics.EXACT_LIMIT:
+            raise AssertionError(f"exact cut on {D.shape[-1]} parts")
+        return kernel(D)
+
+    monkeypatch.setattr(metrics, "_cut_extrema", small_cuts_only)
+    code = main(["name", "transform", "--from", "deltasquare", "--to", "dsquare",
+                 "--in", str(src), "--out", str(out)])
+    assert code == 3
+    assert "stage 1 aligns on 32 vertices, exact limit 20" in capsys.readouterr().err

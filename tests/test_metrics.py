@@ -31,6 +31,7 @@ from graphonlab import (
     reduce_step_graphon,
 )
 from graphonlab import metrics
+from graphonlab.core import adjacency_rows
 from graphonlab.errors import (
     AsymmetricMatrix,
     EmptyGraph,
@@ -41,6 +42,7 @@ from graphonlab.errors import (
     TooManyParts,
 )
 from graphonlab.metrics import (
+    EXACT_LIMIT,
     _TABLE_CELLS,
     _all_perms_min,
     _certified_upper,
@@ -378,3 +380,92 @@ def test_certified_upper_equals_the_minimum_over_powers():
             assert _certified_upper(rows, K, L) == _certified_upper_every_power(
                 rows, K, L
             )
+
+
+def _graph_loop_reference(G, H, budget, seed, restarts):
+    """Heuristic hat_delta as a graph-only loop of its own: the identity
+    scored free, the canonical start charged even when it is the identity,
+    the least (value, sigma) pair as the descent start."""
+    n = G.n
+    AG, AH = adjacency_rows(G), adjacency_rows(H)
+    A, B = _int_arrays(AG, AH)
+
+    def evaluate(sigma):
+        cut = metrics._aligned_cuts(A, B, np.array([sigma]))[0]
+        return F(int(cut), n * n)
+
+    bud = metrics._Budget(budget)
+    rs = RandomSource(seed)
+    start = metrics._canonical_perms(AG, AH, n, cap=1)[0]
+    cand = [(evaluate(tuple(range(n))), tuple(range(n)))]
+    if bud.take():
+        cand.append((evaluate(start), start))
+    base_val, base_sigma = min(cand)
+    val, sigma = metrics._descent(evaluate, base_sigma, n, bud, rs, restarts)
+    if base_val < val:
+        val, sigma = base_val, base_sigma
+    return DeltaBound(F(0), val, (1, sigma))
+
+
+def _random_graph(n, rs):
+    return finite_graph(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rs.below(2)]
+    )
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 37, 300, 2000])
+def test_hat_delta_heuristic_matches_the_graph_loop(budget):
+    # budget 37 runs out inside a transposition sweep from n = 10 on
+    rs = RandomSource(40 + budget)
+    for n in range(2, 15):
+        restarts = (0, 3, 16)[n % 3]
+        G, H = _random_graph(n, rs), _random_graph(n, rs)
+        got = hat_delta(
+            G, H, mode="heuristic", budget=budget, seed=n, restarts=restarts
+        )
+        assert got == _graph_loop_reference(G, H, budget, n, restarts)
+
+
+def test_hat_delta_above_the_exact_limit_is_certified_without_cuts(monkeypatch):
+    def no_exact_cut(D):
+        raise AssertionError(f"exact cut on {D.shape[-1]} parts")
+
+    monkeypatch.setattr(metrics, "_cut_extrema", no_exact_cut)
+    rs = RandomSource(41)
+    n = EXACT_LIMIT + 4
+    G, H = _random_graph(n, rs), _random_graph(n, rs)
+    b = hat_delta(G, H, mode="heuristic")
+    assert b.witness is None and b.lower == 0
+    # S = T = all vertices: the edge-count gap bounds every alignment
+    assert F(2 * abs(len(G.edges) - len(H.edges)), n * n) <= b.upper <= 1
+
+
+def _circulant(k, rs):
+    g = [rs.below(65) for _ in range(k // 2 + 1)]
+    return make_step_graphon(
+        k,
+        [[F(g[min((i - j) % k, (j - i) % k)], 64) for j in range(k)]
+         for i in range(k)],
+    )
+
+
+# seed -> (upper, witness) of delta_bound on two circulant graphons with
+# budget 10 + seed % 30, recorded from the graphon loop as it ran before
+# the shared search. A circulant's rows share one sorted key, so its
+# sorted-profile match is the identity again; seed 176 changes if that
+# duplicate is scored and charged twice.
+CIRCULANT_PINS = {
+    48: (F(25, 384), (1, (4, 1, 0, 3, 2, 5))),
+    51: (F(35, 576), (1, (4, 0, 2, 3, 1, 5))),
+    59: (F(151, 2048), (1, (2, 0, 1, 3, 4, 5, 6, 7))),
+    176: (F(359, 4096), (1, (7, 2, 5, 3, 6, 1, 4, 0))),
+}
+
+
+@pytest.mark.parametrize("seed", list(CIRCULANT_PINS))
+def test_delta_bound_search_is_pinned_on_circulants(seed):
+    rs = RandomSource(seed)
+    k = 6 + seed % 3
+    U, V = _circulant(k, rs), _circulant(k, rs)
+    b = delta_bound(U, V, budget=10 + seed % 30, seed=seed, lower_vertex_limit=1)
+    assert (b.upper, b.witness) == CIRCULANT_PINS[seed]

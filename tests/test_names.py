@@ -1,5 +1,6 @@
 """Names: validity checking, weakening, and metric-to-metric upgrades."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -299,3 +300,56 @@ def test_graph_cut_distance_zero_test_above_the_exact_limit():
     # past the blow-up cap the pair is refused even when equal
     with pytest.raises(AlignmentBudgetExceeded):
         _graph_cut_distance(finite_graph(4, []), finite_graph(7, []), blow_cap=27)
+
+
+# Stage graphs and certificates of section names over sampled presentations,
+# (sizes, seed) -> (stage vertex counts, certificates, digest of the stage
+# edge lists), recorded from the FiniteGraph twin reductions and the graph
+# alignment loop the section used before it ran on adjacency rows. Stages
+# on at most 8 vertices align exhaustively, larger ones by descent; (2, 3),
+# (8, 4), (4, 6) and (3, 4) collapse a blow-up back to fewer vertices, and
+# (3, 5) quotients scattered twins down to one vertex.
+SECTION_PINS = {
+    ((6,), 1): (
+        [6, 6, 6, 6], [(0, 1), (1, 18), (1, 9), (1, 9)], "685e3185e7b78a99"
+    ),
+    ((2, 3), 3): (
+        [2, 6, 6, 3], [(0, 1), (1, 6), (0, 1), (2, 9)], "3597c4839ae55a11"
+    ),
+    ((8, 4), 3): (
+        [8, 8, 2, 4], [(0, 1), (1, 8), (1, 8), (1, 8)], "6e5ad19fbbb3b099"
+    ),
+    ((3, 5), 3): (
+        [1, 5, 5, 5], [(0, 1), (16, 25), (6, 25), (2, 25)], "8fce14f936cc661f"
+    ),
+    ((9,), 0): (
+        [9, 9, 9, 9], [(0, 1), (16, 81), (10, 81), (2, 27)], "0daf34a9c8629b98"
+    ),
+    ((4, 6), 1): (
+        [4, 12, 6, 6], [(0, 1), (7, 72), (1, 9), (1, 9)], "44125aa6d1525d68"
+    ),
+    ((3, 4), 0): (
+        [3, 12, 12, 4], [(0, 1), (1, 9), (1, 8), (3, 8)], "058c6772af32de7a"
+    ),
+    ((10, 5), 2): (
+        [10, 10, 5, 5], [(0, 1), (7, 50), (6, 25), (4, 25)], "e2cbbf19b2f4ddff"
+    ),
+}
+
+
+@pytest.mark.parametrize("sizes, seed", list(SECTION_PINS))
+def test_section_stages_are_pinned(sizes, seed):
+    def present(i):
+        n = sizes[i % len(sizes)]
+        return empirical_graphon(TWO_PART, n, RandomSource(seed + i))
+
+    name = GraphonName(MetricTag.DELTASQUARE, present)
+    out = section_delta_to_dsquare(name, align_budget=200, seed=seed)
+    h = hashlib.sha256()
+    counts, certs = [], []
+    for n in range(4):
+        st = out.stages(n)
+        h.update(f"{st.graph.n} {sorted(st.graph.edges)}\n".encode())
+        counts.append(st.graph.n)
+        certs.append((st.certificate.numerator, st.certificate.denominator))
+    assert (counts, certs, h.hexdigest()[:16]) == SECTION_PINS[sizes, seed]
