@@ -61,6 +61,10 @@ from .names import (
 )
 from .sampling import RandomSource, questionnaire_sample, sample_graph
 
+# user-set sizes refused before any draw
+SAMPLE_LIMIT = 4096
+MC_TRIALS_LIMIT = 10 ** 5
+
 
 class RunManifest:
     """Reproducibility record for one invocation."""
@@ -171,6 +175,8 @@ def cmd_dist(args, man):
 
 
 def cmd_tind(args, man):
+    if args.mc is not None and args.mc > MC_TRIALS_LIMIT:
+        raise InputError(f"{args.mc} trials above the limit {MC_TRIALS_LIMIT}")
     F = _read_g(args.graph, man)
     W = _read_sg(args.graphon, man)
     if args.mc is None:
@@ -184,6 +190,8 @@ def cmd_tind(args, man):
 
 
 def cmd_sample(args, man):
+    if args.n > SAMPLE_LIMIT:
+        raise InputError(f"{args.n} vertices above the limit {SAMPLE_LIMIT}")
     W = _read_sg(args.graphon, man)
     man.note_seed(args.seed)
     G = sample_graph(W, args.n, RandomSource(args.seed))

@@ -24,14 +24,19 @@ Alignment distances (hat_delta, delta_bound) report two-sided DeltaBound
 results and never claim the infimum itself. Short of full permutation
 enumeration both run one search, _align: the identity and sorted-profile
 candidates, then steepest descent over transpositions, all scored by exact
-cuts. Above EXACT_LIMIT parts (vertices, for hat_delta) candidates are
-scored by _certified_upper instead, with no descent and no witness.
+cuts. Scoring is stacked: the candidate list is one _cut_extrema call, and
+so is each sweep over the transposition neighbourhood, with the budget for
+the whole stack taken up front and the move going to the first strict
+minimum, so the search takes the same steps as one candidate at a time.
+Above EXACT_LIMIT parts (vertices, for hat_delta) candidates are scored by
+_certified_upper instead, with no descent and no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import comb, factorial, lcm
 
@@ -332,41 +337,39 @@ class _Budget:
         return True
 
 
-def _descent(evaluate, sigma, K, budget, rs, restarts):
-    """Steepest descent over transpositions; every evaluate() costs budget."""
-    best_val, best_sigma = evaluate(sigma), tuple(sigma)
+def _descent(score_many, sigma, K, budget, rs, restarts):
+    """Steepest descent over transpositions from sigma, then from `restarts`
+    shuffled starts at one budget unit each. score_many maps an (n, K) stack
+    of permutations to their n values. A sweep takes
+    min(budget.left, K(K-1)/2) units up front, scores that many
+    transpositions of the current order, in (i, j) order, in one score_many
+    call and moves to the first strict minimum below the current value."""
+    I, J = np.triu_indices(K, 1)
+    rows = np.arange(len(I))
+    best_val, best_sigma = score_many(np.array([sigma]))[0], tuple(sigma)
     for r in range(restarts + 1):
         if r > 0:
             if not budget.take():
                 break
             cur = list(range(K))
             rs.shuffle(cur)
-            cur_val = evaluate(tuple(cur))
+            cur = np.array(cur)
+            cur_val = score_many(cur[None])[0]
         else:
-            cur, cur_val = list(sigma), best_val
-        improved = True
-        while improved and budget.left > 0:
-            improved = False
-            step_val, step_swap = cur_val, None
-            for i in range(K):
-                for j in range(i + 1, K):
-                    if not budget.take():
-                        break
-                    cur[i], cur[j] = cur[j], cur[i]
-                    v = evaluate(tuple(cur))
-                    cur[i], cur[j] = cur[j], cur[i]
-                    if v < step_val:
-                        step_val, step_swap = v, (i, j)
-                else:
-                    continue
+            cur, cur_val = np.array(sigma), best_val
+        while len(I) and budget.left > 0:
+            n = min(budget.left, len(I))
+            budget.take(n)
+            swaps = np.tile(cur, (n, 1))
+            swaps[rows[:n], I[:n]] = cur[J[:n]]
+            swaps[rows[:n], J[:n]] = cur[I[:n]]
+            vals = score_many(swaps)
+            w = int(np.argmin(vals))
+            if not vals[w] < cur_val:
                 break
-            if step_swap is not None:
-                i, j = step_swap
-                cur[i], cur[j] = cur[j], cur[i]
-                cur_val = step_val
-                improved = True
+            cur, cur_val = swaps[w], vals[w]
         if cur_val < best_val:
-            best_val, best_sigma = cur_val, tuple(cur)
+            best_val, best_sigma = cur_val, tuple(int(x) for x in cur)
     return best_val, best_sigma
 
 
@@ -415,12 +418,14 @@ def _align(ru, rv, L, bud, rs, restarts, limit, cap, free=0):
 
     The candidates are the identity, then the sorted-profile matches
     (_canonical_perms under cap). The first `free` candidates cost no
-    budget; the rest are deduplicated and cost one unit each. Up to `limit`
-    parts every candidate is scored by its exact cut distance and steepest
-    descent runs from the first best one. Above it the matches are taken
-    under cap 1, the profile-group fits are added, and every candidate is
-    scored by _certified_upper with no descent; sigma is then None, since
-    the value is a certified bound and not the cut distance of a witness.
+    budget; the rest are deduplicated and cost one unit each, taken up
+    front for as many as the budget covers. Up to `limit` parts the scored
+    candidates are stacked into one exact cut call and steepest descent
+    runs from the first best one, each sweep stacked likewise. Above it the
+    matches are taken under cap 1, the profile-group fits are added, and
+    every candidate is scored by _certified_upper with no descent; sigma is
+    then None, since the value is a certified bound and not the cut
+    distance of a witness.
     """
     K = len(ru)
     certified = K > limit
@@ -428,29 +433,19 @@ def _align(ru, rv, L, bud, rs, restarts, limit, cap, free=0):
     cands += _canonical_perms(ru, rv, K, 1 if certified else cap)
     if certified:
         cands += _profile_perms(ru, rv, K)
-
-        def score(sigma):
-            rows = [[ru[sigma[i]][sigma[j]] - rv[i][j] for j in range(K)]
-                    for i in range(K)]
-            return _certified_upper(rows, K, L)
-    else:
-        A, B = _int_arrays(ru, rv)
-
-        def score(sigma):
-            cut = _aligned_cuts(A, B, np.array([sigma]))[0]
-            return Fraction(int(cut), L * K * K)
-
-    best_val = best_sigma = None
     cands = cands[:free] + list(dict.fromkeys(cands[free:]))
-    for i, sigma in enumerate(cands):
-        if i >= free and not bud.take():
-            break
-        v = score(sigma)
-        if best_val is None or v < best_val:
-            best_val, best_sigma = v, sigma
-    if best_val is None or certified:
-        return best_val, None
-    return _descent(score, best_sigma, K, bud, rs, restarts)
+    n = free + max(0, min(bud.left, len(cands) - free))
+    bud.take(n - free)
+    if n == 0:
+        return None, None
+    A, B = _int_arrays(ru, rv)
+    if certified:
+        best = min(_certified_upper(A[np.ix_(p, p)] - B, K, L) for p in cands[:n])
+        return best, None
+    score_many = partial(_aligned_cuts, A, B)
+    start = cands[int(np.argmin(score_many(np.array(cands[:n]))))]
+    best, sigma = _descent(score_many, start, K, bud, rs, restarts)
+    return Fraction(int(best), L * K * K), sigma
 
 
 def _iroot_ceil(x, r):
@@ -465,30 +460,33 @@ def _iroot_ceil(x, r):
     return y
 
 
-def _certified_upper(rows, K, L):
+def _certified_upper(D, K, L):
     """Certified upper bound on the cut value of a scaled symmetric matrix.
 
-    min over: Gershgorin and trace-power bounds on the top singular value
-    (|1_S D 1_T| <= sigma * K), the L1 cap, and 1. The trace of D**(2m) is
-    accumulated in exact integer arithmetic from float64 powers whose
-    entries stay below 2**53. It is taken only at the largest such m up to
-    12: for symmetric D, tr(D**(2m))**(1/2m) is the 2m-norm of the
-    eigenvalues, which does not increase with m, and neither does its
-    integer ceiling.
+    D is a K x K integer array, or a list of rows. min over: Gershgorin and
+    trace-power bounds on the top singular value (|1_S D 1_T| <= sigma * K),
+    the L1 cap, and 1. The absolute sums run in int64 while K*K*max|e| <
+    2**63 and in Python integers above. The trace of D**(2m) is accumulated
+    in exact integer arithmetic from float64 powers whose entries stay
+    below 2**53. It is taken only at the largest such m up to 12: for
+    symmetric D, tr(D**(2m))**(1/2m) is the 2m-norm of the eigenvalues,
+    which does not increase with m, and neither does its integer ceiling.
     """
-    total_abs = sum(abs(e) for row in rows for e in row)
-    d1_cap = Fraction(total_abs, L * K * K)
-    sigma_bound = max(sum(abs(e) for e in row) for row in rows)
-    maxabs = max((abs(e) for row in rows for e in row), default=0)
+    E = np.abs(D if isinstance(D, np.ndarray) else np.array(D, dtype=object))
+    maxabs = int(E.max())
+    dtype = np.int64 if K * K * maxabs < 2 ** 63 else object
+    row_abs = E.astype(dtype, copy=False).sum(axis=1)
+    d1_cap = Fraction(int(row_abs.sum()), L * K * K)
+    sigma_bound = int(row_abs.max())
     if maxabs and maxabs * K * maxabs < 2 ** 53:
-        Df = np.array(rows, dtype=np.float64)
+        Df = np.asarray(D, dtype=np.float64)
         power, ebound, m = Df, maxabs, 1
         while m < 12 and ebound * K * maxabs < 2 ** 53:
             power = power @ Df
             ebound *= K * maxabs
             m += 1
-        tr = sum(int(v) * int(v) for v in power.ravel().tolist())
-        sigma_bound = min(sigma_bound, _iroot_ceil(tr, 2 * m))
+        v = power.ravel().astype(np.int64).astype(object)
+        sigma_bound = min(sigma_bound, _iroot_ceil(int(v @ v), 2 * m))
     return min(Fraction(sigma_bound, L * K), d1_cap, Fraction(1))
 
 

@@ -7,15 +7,18 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from graphonlab import (
     RandomSource,
+    cli,
     constant_graphon,
     empirical_graphon,
     finite_graph,
     make_step_graphon,
     metrics,
 )
-from graphonlab.cli import _hash_path, main
+from graphonlab.cli import MC_TRIALS_LIMIT, SAMPLE_LIMIT, _hash_path, main
 from graphonlab.formats import read_name_dir, write_graph, write_name_dir, write_step_graphon
 
 FRACTAL3_PGM64_SHA = "ef883c4c1ad70d8dee204c5dca3d15418e02a65212338e35f07ddeb371c867e1"
@@ -276,3 +279,26 @@ def test_section_transform_refuses_large_alignments_without_exact_cuts(
                  "--in", str(src), "--out", str(out)])
     assert code == 3
     assert "stage 1 aligns on 32 vertices, exact limit 20" in capsys.readouterr().err
+
+
+def test_sample_and_mc_sizes_refuse_before_any_draw(tmp_path, monkeypatch, capsys):
+    g, w = tmp_path / "k2.g", tmp_path / "half.sg"
+    write_graph(g, finite_graph(2, [(0, 1)]))
+    write_step_graphon(w, constant_graphon(Fraction(1, 2)))
+
+    def no_draws(*args):
+        raise AssertionError("sampler reached")
+
+    monkeypatch.setattr(cli, "sample_graph", no_draws)
+    monkeypatch.setattr(cli, "t_ind_mc", no_draws)
+    sample = ["sample", "--graphon", str(w), "-n"]
+    mc = ["tind", "--graph", str(g), "--graphon", str(w), "--mc"]
+    assert main(sample + [str(SAMPLE_LIMIT + 1)]) == 2
+    assert main(mc + [str(MC_TRIALS_LIMIT + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"{SAMPLE_LIMIT + 1} vertices above the limit {SAMPLE_LIMIT}" in err
+    assert f"{MC_TRIALS_LIMIT + 1} trials above the limit" in err
+    # the limits themselves reach the sampler
+    for argv in (sample + [str(SAMPLE_LIMIT)], mc + [str(MC_TRIALS_LIMIT)]):
+        with pytest.raises(AssertionError, match="sampler reached"):
+            main(argv)

@@ -4,6 +4,7 @@ import time
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, lcm
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from graphonlab.errors import (
     TooManyParts,
 )
 from graphonlab.metrics import (
+    ALIGN_EXACT_LIMIT,
     EXACT_LIMIT,
     _TABLE_CELLS,
     _all_perms_min,
@@ -377,9 +379,67 @@ def test_certified_upper_equals_the_minimum_over_powers():
                 for j in range(i, K):
                     rows[i][j] = rows[j][i] = rs.below(2 * span + 1) - span
             L = span * K
-            assert _certified_upper(rows, K, L) == _certified_upper_every_power(
-                rows, K, L
-            )
+            expect = _certified_upper_every_power(rows, K, L)
+            assert _certified_upper(rows, K, L) == expect
+            assert _certified_upper(np.array(rows), K, L) == expect
+
+
+@pytest.mark.parametrize("K", [4, 8])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_certified_upper_at_the_int64_edge(K, d):
+    # every |entry| is m, so the absolute sum K*K*m lies just below
+    # (d = -1), at or above 2**63, where it wraps in int64
+    m = 2 ** 63 // (K * K) + d
+    rs = RandomSource(35 + K + d)
+    rows = [[m] * K for _ in range(K)]
+    for i in range(K):
+        for j in range(i, K):
+            if rs.below(2):
+                rows[i][j] = rows[j][i] = -m
+    L = 4 * m
+    expect = _certified_upper_every_power(rows, K, L)
+    assert expect == F(1, 4)
+    for D in (rows, np.array(rows, dtype=np.int64), np.array(rows, dtype=object)):
+        assert _certified_upper(D, K, L) == expect
+
+
+def _sequential_descent(evaluate, sigma, K, budget, rs, restarts):
+    """Steepest descent over transpositions, one evaluate() and one budget
+    unit per transposition, as the search ran before it was stacked."""
+    best_val, best_sigma = evaluate(sigma), tuple(sigma)
+    for r in range(restarts + 1):
+        if r > 0:
+            if not budget.take():
+                break
+            cur = list(range(K))
+            rs.shuffle(cur)
+            cur_val = evaluate(tuple(cur))
+        else:
+            cur, cur_val = list(sigma), best_val
+        improved = True
+        while improved and budget.left > 0:
+            improved = False
+            step_val, step_swap = cur_val, None
+            for i in range(K):
+                for j in range(i + 1, K):
+                    if not budget.take():
+                        break
+                    cur[i], cur[j] = cur[j], cur[i]
+                    v = evaluate(tuple(cur))
+                    cur[i], cur[j] = cur[j], cur[i]
+                    if v < step_val:
+                        step_val, step_swap = v, (i, j)
+                else:
+                    continue
+                break
+            if step_swap is not None:
+                i, j = step_swap
+                cur[i], cur[j] = cur[j], cur[i]
+                cur_val = step_val
+                improved = True
+        if cur_val < best_val:
+            best_val, best_sigma = cur_val, tuple(cur)
+    return best_val, best_sigma
 
 
 def _graph_loop_reference(G, H, budget, seed, restarts):
@@ -401,7 +461,7 @@ def _graph_loop_reference(G, H, budget, seed, restarts):
     if bud.take():
         cand.append((evaluate(start), start))
     base_val, base_sigma = min(cand)
-    val, sigma = metrics._descent(evaluate, base_sigma, n, bud, rs, restarts)
+    val, sigma = _sequential_descent(evaluate, base_sigma, n, bud, rs, restarts)
     if base_val < val:
         val, sigma = base_val, base_sigma
     return DeltaBound(F(0), val, (1, sigma))
@@ -415,9 +475,10 @@ def _random_graph(n, rs):
 
 @pytest.mark.parametrize("budget", [0, 1, 5, 37, 300, 2000])
 def test_hat_delta_heuristic_matches_the_graph_loop(budget):
-    # budget 37 runs out inside a transposition sweep from n = 10 on
+    # budget 37 runs out inside a transposition sweep from n = 10 on; an
+    # exact cut on n vertices costs 2**n work, so larger budgets stop early
     rs = RandomSource(40 + budget)
-    for n in range(2, 15):
+    for n in range(2, {37: 17, 300: 15, 2000: 15}.get(budget, 21)):
         restarts = (0, 3, 16)[n % 3]
         G, H = _random_graph(n, rs), _random_graph(n, rs)
         got = hat_delta(
@@ -469,3 +530,107 @@ def test_delta_bound_search_is_pinned_on_circulants(seed):
     U, V = _circulant(k, rs), _circulant(k, rs)
     b = delta_bound(U, V, budget=10 + seed % 30, seed=seed, lower_vertex_limit=1)
     assert (b.upper, b.witness) == CIRCULANT_PINS[seed]
+
+
+def _align_reference(ru, rv, L, bud, rs, restarts, limit, cap):
+    """delta_bound's search as a loop of its own: one exact cut, or one
+    certified bound on list rows, per candidate and per transposition."""
+    K = len(ru)
+    certified = K > limit
+    cands = [tuple(range(K))]
+    cands += metrics._canonical_perms(ru, rv, K, 1 if certified else cap)
+    if certified:
+        cands += metrics._profile_perms(ru, rv, K)
+
+        def evaluate(sigma):
+            rows = [[ru[sigma[i]][sigma[j]] - rv[i][j] for j in range(K)]
+                    for i in range(K)]
+            return _certified_upper(rows, K, L)
+    else:
+        A, B = _int_arrays(ru, rv)
+
+        def evaluate(sigma):
+            cut = metrics._aligned_cuts(A, B, np.array([sigma]))[0]
+            return F(int(cut), L * K * K)
+
+    best = None
+    for sigma in dict.fromkeys(cands):
+        if not bud.take():
+            break
+        v = evaluate(sigma)
+        if best is None or v < best[0]:
+            best = (v, sigma)
+    if best is None:
+        return None, None
+    if certified:
+        return best[0], None
+    return _sequential_descent(evaluate, best[1], K, bud, rs, restarts)
+
+
+def _delta_bound_reference(U, V, budget, seed, limit):
+    """delta_bound with blow-up limit 1 and lower_vertex_limit 1 (lower 0),
+    searching with _align_reference."""
+    U, V = reduce_step_graphon(U), reduce_step_graphon(V)
+    su, sv, L = _scale(U.values, V.values)
+    K = lcm(U.k, V.k)
+    ru, rv = metrics._blow_rows(su, K), metrics._blow_rows(sv, K)
+    if K <= limit and factorial(K) <= budget:
+        best, sigma = _all_perms_min(*_int_arrays(ru, rv))
+        val = F(best, L * K * K)
+    else:
+        val, sigma = _align_reference(
+            ru, rv, L, metrics._Budget(budget), RandomSource(seed), 3, limit,
+            min(720, budget),
+        )
+    if val is None or val >= 1:
+        return DeltaBound(F(0), F(1), None)
+    return DeltaBound(F(0), val, None if sigma is None else (1, sigma))
+
+
+SEARCH_BUDGETS = [0, 1, 5, 37, 300, 10 ** 4]
+
+
+@pytest.mark.parametrize("den", [64, 2 ** 31, 2 ** 70])
+def test_stacked_search_matches_the_sequential_loop(den):
+    # budget 1 runs out inside the candidate list, 5 and 37 inside a sweep;
+    # at 2**70 the kernel computes on Python integers, slowly enough that
+    # budgets above 37 stop at 9 parts there
+    rs = RandomSource(den % 1009)
+    for K in range(7, 13):
+        for budget in SEARCH_BUDGETS:
+            U, V = random_graphon(K, rs, den), random_graphon(K, rs, den)
+            if den > 2 ** 62 and budget > 37 and K > 9:
+                continue
+            got = delta_bound(U, V, budget=budget, seed=K, lower_vertex_limit=1)
+            assert got == _delta_bound_reference(U, V, budget, K, ALIGN_EXACT_LIMIT)
+    for K in (5, 6, 9):
+        for budget in SEARCH_BUDGETS:
+            U, V = random_graphon(K, rs, den), random_graphon(K, rs, den)
+            got = delta_bound(U, V, budget=budget, lower_vertex_limit=1,
+                              exact_refinement_limit=4)
+            assert got.witness is None
+            assert got == _delta_bound_reference(U, V, budget, 0, 4)
+
+
+def test_search_makes_one_cut_call_per_stack(monkeypatch):
+    sizes = []
+
+    def counting(D):
+        sizes.append(D.shape[0])
+        return _cut_extrema(D)
+
+    monkeypatch.setattr(metrics, "_cut_extrema", counting)
+    rs = RandomSource(60)
+    U, V = random_graphon(8, rs), random_graphon(8, rs)
+    b = delta_bound(U, V, lower_vertex_limit=1)
+    assert b.witness is not None
+    A, B, _ = _scale(U.values, V.values)
+    cands = len(dict.fromkeys(
+        [tuple(range(8))] + metrics._canonical_perms(A, B, 8, 720)
+    ))
+    # the candidate stack, the descent start, then sweeps of all 28
+    # transpositions after it and after each of the 3 restart starts; the
+    # budget of 10**4 is never spent
+    assert sizes[:2] == [cands, 1]
+    assert sizes[2:].count(1) == 3
+    assert set(sizes[2:]) == {1, 28}
