@@ -64,6 +64,8 @@ from .sampling import RandomSource, questionnaire_sample, sample_graph
 # user-set sizes refused before any draw
 SAMPLE_LIMIT = 4096
 MC_TRIALS_LIMIT = 10 ** 5
+# refused before any graph is enumerated: the graphs on at most 5 vertices
+TRUNC_LIMIT = 1099
 
 
 class RunManifest:
@@ -148,6 +150,8 @@ def _read_g(path, man):
 
 
 def cmd_dist(args, man):
+    if args.metric == "dw" and args.trunc > TRUNC_LIMIT:
+        raise InputError(f"{args.trunc} terms above the limit {TRUNC_LIMIT}")
     U = _read_sg(args.a, man)
     V = _read_sg(args.b, man)
     if args.metric == "d1":

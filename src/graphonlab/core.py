@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -39,6 +40,12 @@ class StepGraphon:
 
     def __repr__(self):
         return f"StepGraphon(k={self.k})"
+
+    @cached_property
+    def _memo(self):
+        # derived state that lives as long as this object (densities keeps
+        # its t_ind state here); not a field, so eq, hash and repr ignore it
+        return {}
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,10 @@ covers only the two integer routes. The float64 route is never refused,
 however large k**n is: a 5-vertex graph on a 128-part 0/1 graphon has
 B < 2**53 and took 561 s on a 2-core Xeon VM.
 
-Labeled t_ind is invariant under relabeling F, so a batch evaluates one
-graph per isomorphism class.
+Labeled t_ind is invariant under relabeling F, so one graph per
+isomorphism class is evaluated. The reduced and scaled W and the value of
+each class live on the graphon object (W._memo) across calls; equal but
+distinct objects do not share them.
 """
 
 from __future__ import annotations
@@ -99,9 +101,8 @@ def _class_key(n, mask):
     return n, min(sum(1 << perm[t] for t in bits) for perm in _relabelings(n))
 
 
-def _scaled_factors(F, W):
-    # integer matrices L*W and L*(1-W) plus the common denominator L; they
-    # depend on W only
+def _scaled_factors(W):
+    # integer matrices L*W and L*(1-W) plus the common denominator L
     w, L = _scale(W.values)
     c = [[L - e for e in row] for row in w]
     return w, c, L
@@ -159,8 +160,8 @@ def _contract(F, w, c):
     return int(np.einsum(subs + "->", *ops, optimize="greedy"))
 
 
-def _t_ind_loop(F, W, w, c, L):
-    n, k = F.n, W.k
+def _t_ind_loop(F, k, w, c, L):
+    n = F.n
     # factor[v] lists (u, matrix) for u < v, consulted when v is assigned
     factor = [[] for _ in range(n)]
     for (i, j) in vertex_pairs(n):
@@ -186,41 +187,46 @@ def _t_ind_loop(F, W, w, c, L):
 def _t_ind_many(graphs, W, cost_limit):
     """t_ind_exact of every graph against W, one evaluation per class.
 
-    W is reduced and scaled once. A graph on at most _CLASS_LIMIT vertices
-    shares its evaluation with every relabeling of it; a larger one only
-    with equal graphs. A refused graph gets its TooExpensive instance in
-    place of a value, and so does every graph of its class.
+    W's state lives in W._memo, so it is built once per object and kept
+    across calls: the reduced part count k, the scaled factors, the numpy
+    arrays per dtype and the exact value per class key. A graph on at most
+    _CLASS_LIMIT vertices shares its value with every relabeling of it; a
+    larger one only with equal graphs. Every call routes each class under
+    the call's cost_limit, so a stored value never answers a call that
+    would refuse it. A refused graph gets its TooExpensive instance in
+    place of a value, and so does every graph of its class in this call;
+    refusals are not stored.
     """
-    W = reduce_step_graphon(W)
-    k = W.k
-    scaled = None
-    arrays = {}  # dtype -> (w, c) as numpy arrays
-    values = {}
+    if "t_ind" not in W._memo:
+        R = reduce_step_graphon(W)
+        W._memo["t_ind"] = (R.k, *_scaled_factors(R), {}, {})
+    k, w, c, L, arrays, values = W._memo["t_ind"]
 
-    def evaluate(F):
-        nonlocal scaled
+    def evaluate(F, key):
         if F.n == 1:
             return Fraction(1)
-        if scaled is None:
-            scaled = _scaled_factors(F, W)
-        w, c, L = scaled
         try:
             dtype = _route(F.n, k, L, cost_limit)
         except TooExpensive as exc:
             return exc
+        if key in values:
+            return values[key]
         if dtype is None:
-            return _t_ind_loop(F, W, w, c, L)
-        if dtype not in arrays:
-            arrays[dtype] = (np.array(w, dtype=dtype), np.array(c, dtype=dtype))
-        total = _contract(F, *arrays[dtype])
-        return Fraction(total, L ** comb(F.n, 2) * k ** F.n)
+            values[key] = _t_ind_loop(F, k, w, c, L)
+        else:
+            if dtype not in arrays:
+                arrays[dtype] = tuple(np.array(m, dtype=dtype) for m in (w, c))
+            total = _contract(F, *arrays[dtype])
+            values[key] = Fraction(total, L ** comb(F.n, 2) * k ** F.n)
+        return values[key]
 
+    seen = {}
     out = []
     for F in graphs:
         key = _class_key(F.n, _edge_mask(F))
-        if key not in values:
-            values[key] = evaluate(F)
-        out.append(values[key])
+        if key not in seen:
+            seen[key] = evaluate(F, key)
+        out.append(seen[key])
     return out
 
 
@@ -235,6 +241,8 @@ def t_ind_exact(F, W, cost_limit=COST_LIMIT):
     Python-integer enumeration otherwise. Only the two integer routes are
     guarded: they raise TooExpensive, reporting the assignment count k**n,
     when it exceeds cost_limit. The float64 route runs whatever k**n is.
+    The value is kept on W for F's isomorphism class, so later calls on
+    the same object, not on an equal copy, only route and look it up.
     """
     (t,) = _t_ind_many([F], W, cost_limit)
     if isinstance(t, TooExpensive):

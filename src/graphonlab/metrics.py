@@ -337,16 +337,17 @@ class _Budget:
         return True
 
 
-def _descent(score_many, sigma, K, budget, rs, restarts):
-    """Steepest descent over transpositions from sigma, then from `restarts`
-    shuffled starts at one budget unit each. score_many maps an (n, K) stack
-    of permutations to their n values. A sweep takes
-    min(budget.left, K(K-1)/2) units up front, scores that many
-    transpositions of the current order, in (i, j) order, in one score_many
-    call and moves to the first strict minimum below the current value."""
+def _descent(score_many, sigma, sigma_val, K, budget, rs, restarts):
+    """Steepest descent over transpositions from sigma, whose value
+    sigma_val the caller has scored, then from `restarts` shuffled starts at
+    one budget unit each. score_many maps an (n, K) stack of permutations
+    to their n values. A sweep takes min(budget.left, K(K-1)/2) units up
+    front, scores that many transpositions of the current order, in (i, j)
+    order, in one score_many call and moves to the first strict minimum
+    below the current value."""
     I, J = np.triu_indices(K, 1)
     rows = np.arange(len(I))
-    best_val, best_sigma = score_many(np.array([sigma]))[0], tuple(sigma)
+    best_val, best_sigma = sigma_val, tuple(sigma)
     for r in range(restarts + 1):
         if r > 0:
             if not budget.take():
@@ -443,8 +444,9 @@ def _align(ru, rv, L, bud, rs, restarts, limit, cap, free=0):
         best = min(_certified_upper(A[np.ix_(p, p)] - B, K, L) for p in cands[:n])
         return best, None
     score_many = partial(_aligned_cuts, A, B)
-    start = cands[int(np.argmin(score_many(np.array(cands[:n]))))]
-    best, sigma = _descent(score_many, start, K, bud, rs, restarts)
+    vals = score_many(np.array(cands[:n]))
+    i = int(np.argmin(vals))
+    best, sigma = _descent(score_many, cands[i], vals[i], K, bud, rs, restarts)
     return Fraction(int(best), L * K * K), sigma
 
 

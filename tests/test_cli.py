@@ -18,7 +18,13 @@ from graphonlab import (
     make_step_graphon,
     metrics,
 )
-from graphonlab.cli import MC_TRIALS_LIMIT, SAMPLE_LIMIT, _hash_path, main
+from graphonlab.cli import (
+    MC_TRIALS_LIMIT,
+    SAMPLE_LIMIT,
+    TRUNC_LIMIT,
+    _hash_path,
+    main,
+)
 from graphonlab.formats import read_name_dir, write_graph, write_name_dir, write_step_graphon
 
 FRACTAL3_PGM64_SHA = "ef883c4c1ad70d8dee204c5dca3d15418e02a65212338e35f07ddeb371c867e1"
@@ -302,3 +308,22 @@ def test_sample_and_mc_sizes_refuse_before_any_draw(tmp_path, monkeypatch, capsy
     for argv in (sample + [str(SAMPLE_LIMIT)], mc + [str(MC_TRIALS_LIMIT)]):
         with pytest.raises(AssertionError, match="sampler reached"):
             main(argv)
+
+
+def test_dw_truncation_refuses_before_any_graph(tmp_path, monkeypatch, capsys):
+    w = tmp_path / "half.sg"
+    write_step_graphon(w, constant_graphon(Fraction(1, 2)))
+
+    def no_graphs(*args):
+        raise AssertionError("truncated metric reached")
+
+    monkeypatch.setattr(cli, "d_w_truncated", no_graphs)
+    dw = ["dist", "--metric", "dw", str(w), str(w), "--trunc"]
+    assert main(dw + [str(TRUNC_LIMIT + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"{TRUNC_LIMIT + 1} terms above the limit {TRUNC_LIMIT}" in err
+    # the limit itself reaches the metric, and only dw reads --trunc
+    with pytest.raises(AssertionError, match="truncated metric reached"):
+        main(dw + [str(TRUNC_LIMIT)])
+    huge = ["--trunc", str(TRUNC_LIMIT + 1)]
+    assert main(["dist", "--metric", "d1", str(w), str(w)] + huge) == 0

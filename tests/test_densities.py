@@ -1,5 +1,7 @@
 """Labeled-graph enumeration and induced-subgraph densities."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -25,6 +27,7 @@ from graphonlab import (
     t_ind_mc,
 )
 from graphonlab import densities
+from graphonlab.core import StepGraphon
 from graphonlab.densities import (
     COST_LIMIT,
     _class_key,
@@ -98,8 +101,8 @@ def test_t_ind_tensor_route_matches_big_integer_loop():
         W = random_graphon(k, rs, den=8)
         for i in (5, 11, 25, 40, 74):
             Fg = enumerate_graph(i)
-            w, c, L = _scaled_factors(Fg, W)
-            assert t_ind_exact(Fg, W) == _t_ind_loop(Fg, W, w, c, L)
+            w, c, L = _scaled_factors(W)
+            assert t_ind_exact(Fg, _fresh(W)) == _t_ind_loop(Fg, W.k, w, c, L)
 
 
 def test_t_ind_too_expensive():
@@ -130,6 +133,11 @@ def test_counting_bound_values():
         counting_bound(K2, F(-1, 2))
 
 
+def _fresh(W):
+    # an equal graphon with an empty memo, so each call runs the kernel
+    return StepGraphon(W.k, W.values)
+
+
 def _brute_t_ind(Fg, W):
     # independent reference: the defining sum over all k**n assignments
     total = F(0)
@@ -144,7 +152,7 @@ def _brute_t_ind(Fg, W):
 
 
 def _bound(Fg, W):
-    L = _scaled_factors(Fg, W)[2]
+    L = _scaled_factors(W)[2]
     return W.k ** Fg.n * L ** comb(Fg.n, 2), L
 
 
@@ -157,16 +165,16 @@ def test_t_ind_int64_route_matches_big_integer_loop():
             B, L = _bound(Fg, W)
             assert Fg.n == 4 and 2 ** 53 <= B < 2 ** 63
             assert _route(Fg.n, W.k, L, COST_LIMIT) is np.int64
-            w, c, _ = _scaled_factors(Fg, W)
-            assert t_ind_exact(Fg, W) == _t_ind_loop(Fg, W, w, c, L)
+            w, c, _ = _scaled_factors(W)
+            assert t_ind_exact(Fg, _fresh(W)) == _t_ind_loop(Fg, W.k, w, c, L)
     # the greedy einsum at n = 5 and the matrix product at n = 3, in int64
     for k, den, i in ((4, 32, 200), (32, 2 ** 15, 7)):
         W = random_graphon(k, rs, den=den)
         Fg = enumerate_graph(i)
         B, L = _bound(Fg, W)
         assert _route(Fg.n, W.k, L, COST_LIMIT) is np.int64
-        w, c, _ = _scaled_factors(Fg, W)
-        assert t_ind_exact(Fg, W) == _t_ind_loop(Fg, W, w, c, L)
+        w, c, _ = _scaled_factors(W)
+        assert t_ind_exact(Fg, _fresh(W)) == _t_ind_loop(Fg, W.k, w, c, L)
 
 
 def test_t_ind_loop_route_matches_brute_force():
@@ -178,7 +186,7 @@ def test_t_ind_loop_route_matches_brute_force():
             B, L = _bound(Fg, W)
             assert Fg.n == 5 and B >= 2 ** 63
             assert _route(Fg.n, W.k, L, COST_LIMIT) is None
-            assert t_ind_exact(Fg, W) == _brute_t_ind(Fg, W)
+            assert t_ind_exact(Fg, _fresh(W)) == _brute_t_ind(Fg, W)
 
 
 def test_t_ind_cost_limit_guards_integer_routes_only():
@@ -213,7 +221,8 @@ def test_batched_metrics_match_per_graph_reference():
         best, first_refusal, value = F(0), None, F(0)
         for i, Fg in enumerate(graphs):
             try:
-                gap = abs(t_ind_exact(Fg, U, cost) - t_ind_exact(Fg, V, cost))
+                tu = t_ind_exact(Fg, _fresh(U), cost)
+                gap = abs(tu - t_ind_exact(Fg, _fresh(V), cost))
             except TooExpensive as exc:
                 first_refusal = first_refusal or exc
                 continue
@@ -238,7 +247,7 @@ def test_t_ind_invariant_under_relabeling_every_four_vertex_graph():
             v = t_ind_exact(Fg, W)
             for s in permutations(range(4)):
                 moved = finite_graph(4, [(s[a], s[b]) for (a, b) in Fg.edges])
-                assert t_ind_exact(moved, W) == v
+                assert t_ind_exact(moved, _fresh(W)) == v
 
 
 def _sample_reference(W, n, seed):
@@ -286,13 +295,14 @@ def test_route_thresholds_are_strict_powers_of_two():
 
 
 def test_chunked_four_vertex_contraction(monkeypatch):
-    # one first vertex per chunk, on the int64 and the float64 route
+    # one first vertex per chunk, on the int64 and the float64 route; 30
+    # and 52 are relabelings, so each call gets a graphon of its own
     monkeypatch.setattr(densities, "_CHUNK", 1)
     rs = RandomSource(49)
     for W in (random_graphon(5, rs, den=257), random_graphon(5, rs, den=8)):
         for i in (11, 30, 52, 74):
             Fg = enumerate_graph(i)
-            assert t_ind_exact(Fg, W) == _brute_t_ind(Fg, W)
+            assert t_ind_exact(Fg, _fresh(W)) == _brute_t_ind(Fg, W)
 
 
 def test_isomorphism_classes_by_vertex_count():
@@ -300,3 +310,83 @@ def test_isomorphism_classes_by_vertex_count():
     for n, count in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34)):
         keys = {_class_key(n, mask) for mask in range(2 ** comb(n, 2))}
         assert len(keys) == count
+
+
+def test_memo_matches_fresh_objects_and_brute_force():
+    # the float64, int64 and loop routes all run: at denominator 64 five
+    # vertices take the loop (int64 on one part), at 2**31 three and four
+    # vertices do, and at 257 four vertices take int64 from three parts
+    graphs = [enumerate_graph(i) for i in range(75)]
+    graphs += [enumerate_graph(i) for i in (75, 300, 777, 1098)]
+    rs = RandomSource(50)
+    routes = set()
+    for den in (64, 2 ** 31, 257):
+        for k in range(1, 7):
+            base = random_graphon(k, rs, den=den)
+            # the brute-force oracle up to 4 parts; above, the blow-up is
+            # checked against its base
+            expect = k <= 4 and [_brute_t_ind(Fg, base) for Fg in graphs]
+            for W in (base, blow_up(base, 2)):
+                first = [t_ind_exact(Fg, W) for Fg in graphs]
+                assert "t_ind" in W._memo
+                assert densities._t_ind_many(graphs, W, COST_LIMIT) == first
+                fresh = _fresh(W)
+                assert fresh == W and not fresh._memo
+                assert [t_ind_exact(Fg, fresh) for Fg in graphs] == first
+                expect = expect or first
+                assert first == expect
+            L = _scaled_factors(base)[2]
+            routes |= {_route(n, k, L, COST_LIMIT) for n in range(2, 6)}
+    assert routes == {np.float64, np.int64, None}
+
+
+def test_memo_filled_in_mixed_order():
+    rs = RandomSource(51)
+    W, V = random_graphon(5, rs, den=257), random_graphon(3, rs, den=64)
+    expect_dw = d_w_truncated(_fresh(W), _fresh(V), 20)
+    expect_lower = _counting_lower(_fresh(W), _fresh(V), 4, COST_LIMIT)
+    expect_t = {
+        i: t_ind_exact(enumerate_graph(i), _fresh(W)) for i in (30, 74, 400)
+    }
+    assert t_ind_exact(enumerate_graph(30), W) == expect_t[30]
+    assert d_w_truncated(W, V, 20) == expect_dw
+    assert t_ind_exact(enumerate_graph(400), W) == expect_t[400]
+    assert _counting_lower(W, V, 4, COST_LIMIT) == expect_lower
+    assert t_ind_exact(enumerate_graph(74), W) == expect_t[74]
+    assert d_w_truncated(W, V, 20) == expect_dw
+    # every class on 2 to 4 vertices plus graph 400's; one vertex is not
+    # evaluated
+    assert len(W._memo["t_ind"][-1]) == 2 + 4 + 11 + 1
+
+
+def test_memo_never_answers_a_refusal_and_stays_private():
+    W = random_graphon(7, RandomSource(52), den=257)
+    F5 = enumerate_graph(100)
+    terms = W.k ** F5.n
+    assert _route(F5.n, W.k, _scaled_factors(W)[2], COST_LIMIT) is None
+    before = (W == _fresh(W), hash(W), repr(W))
+    value = t_ind_exact(F5, W)
+    assert value == t_ind_exact(F5, _fresh(W))
+    with pytest.raises(TooExpensive) as fresh_refusal:
+        t_ind_exact(F5, _fresh(W), cost_limit=terms - 1)
+    with pytest.raises(TooExpensive) as memo_refusal:
+        t_ind_exact(F5, W, cost_limit=terms - 1)
+    assert str(memo_refusal.value) == str(fresh_refusal.value)
+    # one instance per refused class within a call, and none is stored
+    moved = finite_graph(5, [(4 - a, 4 - b) for (a, b) in F5.edges])
+    a, b = densities._t_ind_many([F5, moved], W, terms - 1)
+    assert isinstance(a, TooExpensive) and a is b
+    assert t_ind_exact(moved, W, cost_limit=terms) == value
+    # eq, hash and repr ignore the filled memo
+    assert W._memo and (W == _fresh(W), hash(W), repr(W)) == before
+    # the memo holds no reference back to its graphon: refcounting frees it
+    X = _fresh(W)
+    densities._t_ind_many([K2, F5], X, COST_LIMIT)
+    assert X._memo["t_ind"][-2]  # the float64 arrays
+    gc.disable()
+    try:
+        ref = weakref.ref(X)
+        del X
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -628,9 +628,9 @@ def test_search_makes_one_cut_call_per_stack(monkeypatch):
     cands = len(dict.fromkeys(
         [tuple(range(8))] + metrics._canonical_perms(A, B, 8, 720)
     ))
-    # the candidate stack, the descent start, then sweeps of all 28
-    # transpositions after it and after each of the 3 restart starts; the
-    # budget of 10**4 is never spent
-    assert sizes[:2] == [cands, 1]
-    assert sizes[2:].count(1) == 3
-    assert set(sizes[2:]) == {1, 28}
+    # the candidate stack, whose best value starts the descent, then sweeps
+    # of all 28 transpositions after it and after each of the 3 restart
+    # starts, each scored alone; the budget of 10**4 is never spent
+    assert sizes[:2] == [cands, 28]
+    assert sizes[1:].count(1) == 3
+    assert set(sizes[1:]) == {1, 28}
