@@ -23,20 +23,20 @@ exactly.
 Alignment distances (hat_delta, delta_bound) report two-sided DeltaBound
 results and never claim the infimum itself. Short of full permutation
 enumeration both run one search, _align: the identity and sorted-profile
-candidates, then steepest descent over transpositions, all scored by exact
-cuts. Scoring is stacked: the candidate list is one _cut_extrema call, and
-so is each sweep over the transposition neighbourhood, with the budget for
-the whole stack taken up front and the move going to the first strict
-minimum, so the search takes the same steps as one candidate at a time.
-Above EXACT_LIMIT parts (vertices, for hat_delta) candidates are scored by
-_certified_upper instead, with no descent and no witness.
+candidates, then steepest descent over transpositions. Exact cuts are
+screened by _row_bounds, the cut value at T = all parts, which bounds each
+alignment's exact value from below: a list (all K!, or the candidates) is
+scored by _first_min, and a sweep, its budget taken up front, only where
+the bound is below the current value. Values and witnesses are those of
+scoring every alignment one at a time. Above EXACT_LIMIT parts (vertices,
+for hat_delta) candidates are scored by _certified_upper instead, with no
+descent and no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import permutations
 from math import comb, factorial, lcm
 
@@ -313,13 +313,42 @@ def _aligned_cuts(A, B, perms):
     return np.maximum(hi, -lo)
 
 
+def _row_bounds(A, B, perms):
+    """Scaled cut value at T = all parts of A[sigma][sigma] - B for each
+    sigma in perms: max(sum r+, sum r-) for its row sums r = rowsum(A)[sigma]
+    - rowsum(B). Each is at most the exact cut value of its alignment."""
+    r = A.sum(axis=1)[perms] - B.sum(axis=1)
+    pos = np.maximum(r, 0).sum(axis=1)
+    return np.maximum(pos, pos - r.sum(axis=1))
+
+
+def _first_min(A, B, perms):
+    """Least scaled cut value over the alignments in perms, with the first
+    position reaching it. They are scored in rising _row_bounds order, in
+    chunks doubling from 64; one whose bound exceeds the best value so far
+    cannot reach it, so it is skipped and the scan stops at the first such
+    bound. Every alignment reaching the minimum is scored."""
+    bounds = _row_bounds(A, B, perms)
+    order = np.argsort(bounds, kind="stable")
+    best, w, pos, size = float("inf"), None, 0, 64
+    while pos < len(order) and bounds[order[pos]] <= best:
+        chunk = order[pos : pos + size]
+        chunk = chunk[bounds[chunk] <= best]
+        vals = _aligned_cuts(A, B, perms[chunk])
+        m = vals.min()
+        first = int(chunk[vals == m].min())
+        if (m, first) < (best, w):
+            best, w = m, first
+        pos, size = pos + size, 2 * size
+    return int(best), w
+
+
 def _all_perms_min(A, B):
-    """Exact min over all K! alignments of the scaled cut value, with the
-    first permutation attaining it; A and B come from _int_arrays."""
+    """_first_min over all K! alignments: the exact least scaled cut value
+    and the first permutation attaining it; A and B come from _int_arrays."""
     perms = np.array(list(permutations(range(len(A)))), dtype=np.intp)
-    best = _aligned_cuts(A, B, perms)
-    w = int(np.argmin(best))
-    return int(best[w]), tuple(int(x) for x in perms[w])
+    best, w = _first_min(A, B, perms)
+    return best, tuple(int(x) for x in perms[w])
 
 
 def _sorted_row_keys(rows):
@@ -337,14 +366,14 @@ class _Budget:
         return True
 
 
-def _descent(score_many, sigma, sigma_val, K, budget, rs, restarts):
+def _descent(A, B, sigma, sigma_val, K, budget, rs, restarts):
     """Steepest descent over transpositions from sigma, whose value
     sigma_val the caller has scored, then from `restarts` shuffled starts at
-    one budget unit each. score_many maps an (n, K) stack of permutations
-    to their n values. A sweep takes min(budget.left, K(K-1)/2) units up
-    front, scores that many transpositions of the current order, in (i, j)
-    order, in one score_many call and moves to the first strict minimum
-    below the current value."""
+    one budget unit each. A sweep takes min(budget.left, K(K-1)/2) units up
+    front for that many transpositions of the current order, in (i, j)
+    order, scores in one call those whose _row_bounds value is below the
+    current value (no other can beat it) and moves to the first strict
+    minimum below it; the sweep ends the descent when none is."""
     I, J = np.triu_indices(K, 1)
     rows = np.arange(len(I))
     best_val, best_sigma = sigma_val, tuple(sigma)
@@ -355,7 +384,7 @@ def _descent(score_many, sigma, sigma_val, K, budget, rs, restarts):
             cur = list(range(K))
             rs.shuffle(cur)
             cur = np.array(cur)
-            cur_val = score_many(cur[None])[0]
+            cur_val = _aligned_cuts(A, B, cur[None])[0]
         else:
             cur, cur_val = np.array(sigma), best_val
         while len(I) and budget.left > 0:
@@ -364,7 +393,10 @@ def _descent(score_many, sigma, sigma_val, K, budget, rs, restarts):
             swaps = np.tile(cur, (n, 1))
             swaps[rows[:n], I[:n]] = cur[J[:n]]
             swaps[rows[:n], J[:n]] = cur[I[:n]]
-            vals = score_many(swaps)
+            swaps = swaps[_row_bounds(A, B, swaps) < cur_val]
+            if not len(swaps):
+                break
+            vals = _aligned_cuts(A, B, swaps)
             w = int(np.argmin(vals))
             if not vals[w] < cur_val:
                 break
@@ -377,11 +409,11 @@ def _descent(score_many, sigma, sigma_val, K, budget, rs, restarts):
 def hat_delta(G, H, mode="exact", budget=2000, seed=0, restarts=16):
     """Alignment cut distance between two graphs on the same vertex count.
 
-    Exact mode enumerates all |V|! permutations (|V| <= 8 only) and returns
-    lower = upper = the minimum. Heuristic mode is the alignment search of
-    delta_bound on the adjacency rows (_row_delta); its upper bound has a
-    witness through EXACT_LIMIT vertices and is a certified bound without
-    one above, and lower is 0.
+    Exact mode is the least cut over all |V|! permutations (|V| <= 8 only),
+    screened by _first_min; lower = upper = it. Heuristic mode is the
+    alignment search of delta_bound on the adjacency rows (_row_delta); its
+    upper bound has a witness through EXACT_LIMIT vertices and is a
+    certified bound without one above, and lower is 0.
     """
     if G.n != H.n:
         raise SizeMismatch(f"vertex counts differ: {G.n} vs {H.n}")
@@ -443,10 +475,8 @@ def _align(ru, rv, L, bud, rs, restarts, limit, cap, free=0):
     if certified:
         best = min(_certified_upper(A[np.ix_(p, p)] - B, K, L) for p in cands[:n])
         return best, None
-    score_many = partial(_aligned_cuts, A, B)
-    vals = score_many(np.array(cands[:n]))
-    i = int(np.argmin(vals))
-    best, sigma = _descent(score_many, cands[i], vals[i], K, bud, rs, restarts)
+    best, i = _first_min(A, B, np.array(cands[:n]))
+    best, sigma = _descent(A, B, cands[i], best, K, bud, rs, restarts)
     return Fraction(int(best), L * K * K), sigma
 
 
@@ -645,18 +675,18 @@ def delta_bound(
     """Two-sided bracket on the alignment cut distance between graphons.
 
     The lower bound inverts the density counting bound over all enumerated
-    graphs with at most lower_vertex_limit vertices. The upper bound is the
-    best aligned cut distance found within the candidate budget: on common
-    refinements of at most exact_refinement_limit parts every evaluation is
-    an exact cut norm (full permutation enumeration when the budget covers
-    K!, otherwise the search _align shared with hat_delta); on larger
-    refinements candidates are scored with certified spectral and L1 upper
-    bounds, so the bracket stays valid but carries no witness.
+    graphs with at most lower_vertex_limit vertices, on U and V as given, so
+    their t_ind state stays on them. The upper bound is the best aligned cut
+    distance found within the budget: up to exact_refinement_limit parts of
+    the common refinement, an exact cut (the screened minimum over all K!
+    when the budget covers K!, otherwise the search _align shared with
+    hat_delta); above it, certified spectral and L1 upper bounds, so the
+    bracket stays valid but carries no witness.
     """
     if blowup_limit < 1:
         raise InputError(f"blow-up limit must be positive, got {blowup_limit}")
-    U, V = reduce_step_graphon(U), reduce_step_graphon(V)
     lower = _counting_lower(U, V, lower_vertex_limit, cost_limit)
+    U, V = reduce_step_graphon(U), reduce_step_graphon(V)
     su, sv, L = _scale(U.values, V.values)
     rs = RandomSource(seed)
     bud = _Budget(budget)

@@ -31,7 +31,7 @@ from graphonlab import (
     permute_parts,
     reduce_step_graphon,
 )
-from graphonlab import metrics
+from graphonlab import densities, metrics
 from graphonlab.core import adjacency_rows
 from graphonlab.errors import (
     AsymmetricMatrix,
@@ -612,25 +612,234 @@ def test_stacked_search_matches_the_sequential_loop(den):
             assert got == _delta_bound_reference(U, V, budget, 0, 4)
 
 
-def test_search_makes_one_cut_call_per_stack(monkeypatch):
-    sizes = []
+def _screened_sizes(A, B, cands, budget, seed, restarts):
+    """Cut-call stack sizes of the screened search, from a loop of its own
+    with one exact cut per permutation: the candidate list, then each sweep's
+    transpositions whose row-sum cut value is below the current value (none
+    scored, and the sweep ends, when there is none), and one per restart
+    start. Each sweep charges its min(budget, K(K-1)/2) units up front."""
+    K = len(A)
+    rA, rB = A.sum(axis=1).tolist(), B.sum(axis=1).tolist()
+
+    def bound(p):
+        r = [rA[p[i]] - rB[i] for i in range(K)]
+        return max(sum(x for x in r if x > 0), -sum(x for x in r if x < 0))
+
+    def value(p):
+        return int(metrics._aligned_cuts(A, B, np.array([p]))[0])
+
+    bud = metrics._Budget(budget)
+    rs = RandomSource(seed)
+    n = min(budget, len(cands))
+    bud.take(n)
+    sizes = [n]
+    start = min(range(n), key=lambda i: (value(cands[i]), i))
+    pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
+    for r in range(restarts + 1):
+        if r == 0:
+            cur = list(cands[start])
+        elif bud.take():
+            cur = list(range(K))
+            rs.shuffle(cur)
+            sizes.append(1)
+        else:
+            break
+        cur_val = value(cur)
+        while bud.left > 0:
+            m = min(bud.left, len(pairs))
+            bud.take(m)
+            swaps = []
+            for i, j in pairs[:m]:
+                p = list(cur)
+                p[i], p[j] = p[j], p[i]
+                if bound(p) < cur_val:
+                    swaps.append(p)
+            if not swaps:
+                break
+            sizes.append(len(swaps))
+            vals = [value(p) for p in swaps]
+            w = vals.index(min(vals))
+            if not vals[w] < cur_val:
+                break
+            cur, cur_val = swaps[w], vals[w]
+    return sizes
+
+
+def _zero_one_graphon(k, rs):
+    return random_graphon(k, rs, 1)
+
+
+def _count_cut_matrices(monkeypatch):
+    """Route _cut_extrema through a stub that records each stack's size."""
+    counted = []
 
     def counting(D):
-        sizes.append(D.shape[0])
+        counted.append(D.shape[0])
         return _cut_extrema(D)
 
     monkeypatch.setattr(metrics, "_cut_extrema", counting)
+    return counted
+
+
+def test_search_makes_one_cut_call_per_stack(monkeypatch):
+    sizes = _count_cut_matrices(monkeypatch)
     rs = RandomSource(60)
-    U, V = random_graphon(8, rs), random_graphon(8, rs)
-    b = delta_bound(U, V, lower_vertex_limit=1)
-    assert b.witness is not None
-    A, B, _ = _scale(U.values, V.values)
-    cands = len(dict.fromkeys(
-        [tuple(range(8))] + metrics._canonical_perms(A, B, 8, 720)
-    ))
-    # the candidate stack, whose best value starts the descent, then sweeps
-    # of all 28 transpositions after it and after each of the 3 restart
-    # starts, each scored alone; the budget of 10**4 is never spent
-    assert sizes[:2] == [cands, 28]
-    assert sizes[1:].count(1) == 3
-    assert set(sizes[1:]) == {1, 28}
+    # budgets 100 and 150 run out inside the descent; 0/1 values tie often
+    for make, budget in ((random_graphon, 10 ** 4), (random_graphon, 100),
+                         (_zero_one_graphon, 10 ** 4), (_zero_one_graphon, 150)):
+        U, V = make(8, rs), make(8, rs)
+        A, B, _ = _scale(U.values, V.values)
+        cands = list(dict.fromkeys(
+            [tuple(range(8))] + metrics._canonical_perms(A, B, 8, 720)
+        ))
+        # the candidate stack, whose first best value starts the descent,
+        # then each sweep's screened transpositions, after it and after each
+        # of the 3 restart starts, each scored alone
+        expected = _screened_sizes(*_int_arrays(A, B), cands, budget, 8, 3)
+        sizes.clear()
+        b = delta_bound(U, V, budget=budget, seed=8, lower_vertex_limit=1)
+        assert b.witness is not None
+        assert sizes == expected
+
+
+def test_exhaustive_search_scores_only_what_can_still_win(monkeypatch):
+    rs = RandomSource(61)
+    U, V = random_graphon(7, rs), random_graphon(7, rs)
+    # circulants have constant row sums, so every alignment has the same
+    # row-sum bound; T below S cell by cell makes the identity's cut value
+    # equal that bound, so every alignment can still reach the minimum
+    S = _circulant(7, rs)
+    T = make_step_graphon(7, [[v / 2 for v in row] for row in S.values])
+    A, B = _int_arrays(*_scale(S.values, T.values)[:2])
+    perms = np.array(list(permutations(range(7))))
+    assert len(set(metrics._row_bounds(A, B, perms).tolist())) == 1
+    counted = _count_cut_matrices(monkeypatch)
+    delta_bound(U, V, lower_vertex_limit=1)
+    assert 0 < sum(counted) < factorial(7)
+    counted.clear()
+    b = delta_bound(S, T, lower_vertex_limit=1)
+    assert sum(counted) == factorial(7)
+    assert b.witness == (1, tuple(range(7)))
+
+
+def _full_stack_min(A, B, perms):
+    """Every alignment in perms scored in one stack; the least value and
+    its first position."""
+    vals = metrics._aligned_cuts(A, B, perms)
+    w = int(np.argmin(vals))
+    return int(vals[w]), w
+
+
+def _assert_first_min_matches(ru, rv):
+    A, B = _int_arrays(ru, rv)
+    perms = np.array(list(permutations(range(len(A)))), dtype=np.intp)
+    expect = _full_stack_min(A, B, perms)
+    assert metrics._first_min(A, B, perms) == expect
+    best, sigma = _all_perms_min(A, B)
+    assert (best, sigma) == (expect[0], tuple(int(x) for x in perms[expect[1]]))
+    # a shuffled list of candidates, as _align passes them
+    sub = perms[np.random.default_rng(len(perms)).permutation(len(perms))[:300]]
+    assert metrics._first_min(A, B, sub) == _full_stack_min(A, B, sub)
+    return A.dtype
+
+
+@pytest.mark.parametrize("den", [64, 2 ** 31, 2 ** 70])
+def test_first_min_matches_the_full_stack(den):
+    rs = RandomSource(den % 1013)
+    for K in range(1, 8):
+        for _ in range(2 if K < 7 else 1):
+            U, V = random_graphon(K, rs, den), random_graphon(K, rs, den)
+            dtype = _assert_first_min_matches(*_scale(U.values, V.values)[:2])
+            assert dtype == (object if den == 2 ** 70 else np.int64)
+
+
+def test_first_min_matches_the_full_stack_on_ties():
+    rs = RandomSource(63)
+    for K in range(2, 8):
+        # 0/1 values
+        U, V = _zero_one_graphon(K, rs), _zero_one_graphon(K, rs)
+        _assert_first_min_matches(*_scale(U.values, V.values)[:2])
+    for k, m in ((2, 3), (3, 2), (2, 4), (7, 1)):
+        # a relabelled blow-up: many alignments reach 0
+        W = blow_up(random_graphon(k, rs, 4), m)
+        sigma = list(range(W.k))
+        rs.shuffle(sigma)
+        ru, rv, _ = _scale(W.values, permute_parts(W, sigma).values)
+        _assert_first_min_matches(ru, rv)
+    for K in (5, 6, 7):
+        # constant row sums: every bound ties
+        U, V = _circulant(K, rs), _circulant(K, rs)
+        _assert_first_min_matches(*_scale(U.values, V.values)[:2])
+
+
+def _circulant_graph(n, gaps):
+    return finite_graph(n, [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if min(j - i, n - j + i) in gaps
+    ])
+
+
+def _hat_delta_reference(G, H):
+    n = G.n
+    A, B = _int_arrays(adjacency_rows(G), adjacency_rows(H))
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    best, w = _full_stack_min(A, B, perms)
+    val = F(best, n * n)
+    return DeltaBound(val, val, (1, tuple(int(x) for x in perms[w])))
+
+
+def test_exact_hat_delta_matches_the_full_stack():
+    rs = RandomSource(64)
+    pairs = []
+    for n in range(1, 9):
+        pairs += [(_random_graph(n, rs), _random_graph(n, rs)) for _ in range(3)]
+    # regular graphs: every row-sum bound ties
+    for n in (6, 7, 8):
+        pairs += [
+            (_circulant_graph(n, {1}), _circulant_graph(n, {2})),
+            (_circulant_graph(n, {1, 3}), _circulant_graph(n, {2, 3})),
+            (_circulant_graph(n, {1}), _circulant_graph(n, {1})),
+        ]
+    for G, H in pairs:
+        assert hat_delta(G, H) == _hat_delta_reference(G, H)
+
+
+def _row_bound_of(M):
+    r = [sum(row) for row in M]
+    return max(sum(x for x in r if x > 0), -sum(x for x in r if x < 0))
+
+
+@pytest.mark.parametrize("den", [64, 2 ** 70])
+def test_row_bounds_are_sound_and_their_minimum_is_the_sorted_formula(den):
+    rs = RandomSource(den % 1019)
+    for K in range(1, 8 if den > 2 ** 62 else 7):
+        U, V = random_graphon(K, rs, den), random_graphon(K, rs, den)
+        ru, rv, L = _scale(U.values, V.values)
+        A, B = _int_arrays(ru, rv)
+        perms = np.array(list(permutations(range(K))), dtype=np.intp)
+        bounds = metrics._row_bounds(A, B, perms)
+        D = A[perms[:, :, None], perms[:, None, :]] - B
+        assert bounds.tolist() == [_row_bound_of(M.tolist()) for M in D]
+        assert D.dtype == (object if den > 2 ** 62 else np.int64)
+        assert (bounds <= metrics._aligned_cuts(A, B, perms)).all()
+        if den < 2 ** 62:
+            for p in range(0, len(perms), 1 + len(perms) // 40):
+                M = [[F(int(v), L) for v in row] for row in D[p]]
+                assert F(int(bounds[p]), L * K * K) <= cut_norm_full_enumeration(M)
+        sa, sb = sorted(map(sum, ru)), sorted(map(sum, rv))
+        formula = sum(abs(a - b) for a, b in zip(sa, sb)) + abs(sum(sa) - sum(sb))
+        assert 2 * min(bounds.tolist()) == formula
+
+
+def test_delta_bound_keeps_density_state_on_the_callers_objects(monkeypatch):
+    # a blow-up is not reduced, so a reduced copy would take the state
+    rs = RandomSource(65)
+    U, V = blow_up(random_graphon(3, rs), 2), random_graphon(2, rs)
+    assert reduce_step_graphon(U) is not U
+    first = delta_bound(U, V, budget=50)
+    assert "t_ind" in U._memo and "t_ind" in V._memo
+    evaluated = []
+    monkeypatch.setattr(densities, "_contract", lambda *a: evaluated.append(a))
+    monkeypatch.setattr(densities, "_t_ind_loop", lambda *a: evaluated.append(a))
+    assert delta_bound(U, V, budget=50) == first
+    assert not evaluated
